@@ -10,6 +10,7 @@ all-singletons partition).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 
@@ -30,14 +31,20 @@ class InfeasibleBoundError(PartitioningError):
         self.max_weight = max_weight
 
 
+def check_bound_domain(bound: float) -> None:
+    """Raise :class:`ValueError` unless ``bound`` is positive and finite."""
+    if not (bound > 0) or not math.isfinite(bound):
+        raise ValueError(f"bound K must be positive and finite, got {bound:g}")
+
+
 def validate_bound(vertex_weights: Iterable[float], bound: float) -> float:
     """Validate ``K`` against the vertex weights and return the max weight.
 
     Raises :class:`InfeasibleBoundError` when some vertex alone exceeds
-    ``K`` and :class:`ValueError` on a non-positive bound.
+    ``K`` and :class:`ValueError` on a bound that is not positive and
+    finite (NaN included).
     """
-    if bound <= 0:
-        raise ValueError(f"bound K must be positive, got {bound:g}")
+    check_bound_domain(bound)
     max_weight = max(vertex_weights)
     if max_weight > bound:
         raise InfeasibleBoundError(bound, max_weight)

@@ -6,6 +6,10 @@ Layers on top of :mod:`repro.core`:
   pipeline (prefix weights, prime subpaths via ``searchsorted``,
   membership intervals, the non-redundant-edge reduction), bit-identical
   to the pure-Python reference;
+- :mod:`repro.engine.native` — Algorithm 4.1 for one query as a single
+  C pass (prime windows, edge reduction, TEMP_S sweep), built on first
+  use and loaded with ctypes; the cache's miss path uses it when a C
+  compiler is available;
 - :mod:`repro.engine.cache` — content-fingerprinted prime-structure and
   result caching with monotone warm-start for sorted-``K`` sweeps, plus
   the compiled-plan LRU (:class:`PlanCache`);

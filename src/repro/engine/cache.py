@@ -16,6 +16,11 @@ module adds the shared-preprocessing layer:
 - computed prime structures are kept in an LRU keyed by
   ``(fingerprint, K)``, together with the Algorithm-4.1 result computed
   from them (the optimal cut is a pure function of the structure);
+- a binary-search miss on the NumPy backend is solved by the native
+  fused kernel (:mod:`repro.engine.native`) in one C pass, which also
+  reports the stability interval; the array structure is then built
+  only on demand.  Without the native kernel the miss builds the
+  structure and runs the Python sweep, with the same answers;
 - **monotone warm-start:** a structure computed at bound ``K`` remains
   valid for every ``K'`` in ``[K, min_prime_weight)`` — raising the
   bound only changes a minimal critical window once it stops exceeding
@@ -41,6 +46,7 @@ from repro.engine.kernels import validate_bound_array
 from repro.engine.plan import CompiledChainPlan, compile_chain
 from repro.graphs.chain import Chain
 from repro.observability.live import NULL_HUB
+from repro.observability.spans import NULL_TRACER
 from repro.verify.markers import concurrent_entry, shared_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -98,14 +104,25 @@ class _CachedSolve:
     over which the structure (and therefore every derived result) is
     unchanged.  ``results`` memoizes Algorithm 4.1's answer per search
     strategy — the sweep is a pure function of the structure.
+
+    A miss served by the native fused kernel learns the interval from
+    the kernel and stores no structure (``structure is None``); the
+    cache builds it at ``valid_from`` only if a caller asks for it.
     """
 
     __slots__ = ("structure", "valid_from", "valid_until", "results")
 
-    def __init__(self, structure: Any, valid_from: float) -> None:
+    def __init__(
+        self,
+        structure: Any,
+        valid_from: float,
+        valid_until: Optional[float] = None,
+    ) -> None:
         self.structure = structure
         self.valid_from = valid_from
-        self.valid_until: float = structure.min_prime_weight()
+        self.valid_until: float = (
+            structure.min_prime_weight() if valid_until is None else valid_until
+        )
         self.results: Dict[str, ChainCutResult] = {}
 
     def covers(self, bound: float) -> bool:
@@ -245,17 +262,17 @@ class PrimeStructureCache:
                 return cached
         return None
 
-    def _compute(
+    def _build_structure(
         self,
         entry: _ChainEntry,
         bound: float,
         apply_reduction: bool,
         tracer: Optional["Tracer"] = None,
-    ) -> _CachedSolve:
+    ) -> Any:
         if self.backend == "numpy":
             from repro.engine.kernels import compute_prime_structure_numpy
 
-            structure = compute_prime_structure_numpy(
+            return compute_prime_structure_numpy(
                 entry.chain,
                 bound,
                 apply_reduction=apply_reduction,
@@ -263,12 +280,32 @@ class PrimeStructureCache:
                 beta=entry.beta,
                 tracer=tracer,
             )
-        else:
-            structure = compute_prime_structure(
-                entry.chain, bound, apply_reduction=apply_reduction,
-                tracer=tracer,
+        return compute_prime_structure(
+            entry.chain, bound, apply_reduction=apply_reduction, tracer=tracer,
+        )
+
+    def _structure_of(
+        self,
+        entry: _ChainEntry,
+        cached: _CachedSolve,
+        apply_reduction: bool,
+        tracer: Optional["Tracer"] = None,
+    ) -> Any:
+        """``cached``'s structure, built now if a fused miss skipped it."""
+        if cached.structure is None:
+            cached.structure = self._build_structure(
+                entry, cached.valid_from, apply_reduction, tracer=tracer
             )
-        cached = _CachedSolve(structure, bound)
+        return cached.structure
+
+    def _store(
+        self,
+        entry: _ChainEntry,
+        bound: float,
+        apply_reduction: bool,
+        cached: _CachedSolve,
+    ) -> _CachedSolve:
+        """Insert a freshly solved miss into the structure LRU."""
         entry.structures[(bound, apply_reduction)] = cached
         evicted = False
         if len(entry.structures) > self.max_structures_per_chain:
@@ -281,6 +318,50 @@ class PrimeStructureCache:
             if evicted:
                 self._publish_cache_event("evict", bound)
         return cached
+
+    def _compute(
+        self,
+        entry: _ChainEntry,
+        bound: float,
+        apply_reduction: bool,
+        tracer: Optional["Tracer"] = None,
+    ) -> _CachedSolve:
+        structure = self._build_structure(
+            entry, bound, apply_reduction, tracer=tracer
+        )
+        return self._store(
+            entry, bound, apply_reduction, _CachedSolve(structure, bound)
+        )
+
+    def _compute_fused(
+        self,
+        entry: _ChainEntry,
+        bound: float,
+        apply_reduction: bool,
+        tracer: Optional["Tracer"] = None,
+    ) -> Optional[_CachedSolve]:
+        """A binary-search miss solved by the native fused kernel, with
+        its result memoized; ``None`` when the kernel is unavailable."""
+        from repro.engine import native
+
+        if native.load() is None:
+            return None
+        active = tracer if tracer is not None else NULL_TRACER
+        with active.span(
+            "kernel_dispatch", kernel="native_fused", n=entry.chain.num_tasks
+        ) as span:
+            fused = native.fused_solve(
+                entry.prefix, entry.beta, bound, apply_reduction
+            )
+            if fused is None:
+                return None
+            span.set("p", fused.p)
+            span.set("r", fused.r)
+        cached = _CachedSolve(None, bound, fused.min_prime_weight)
+        cached.results["binary"] = ChainCutResult(
+            entry.chain, fused.cut, fused.weight
+        )
+        return self._store(entry, bound, apply_reduction, cached)
 
     # ------------------------------------------------------------------
     # Public API
@@ -303,7 +384,9 @@ class PrimeStructureCache:
                 cached = self._compute(
                     entry, bound, apply_reduction, tracer=tracer
                 )
-            return cached.structure
+            return self._structure_of(
+                entry, cached, apply_reduction, tracer=tracer
+            )
 
     @concurrent_entry
     def solve(
@@ -366,18 +449,31 @@ class PrimeStructureCache:
             entry = self._entry(chain)
             validate_bound_array(entry.alpha_max, bound)
             cached = self._lookup(entry, bound, apply_reduction)
+            fused = False
+            if (
+                cached is None
+                and search == "binary"
+                and self.backend == "numpy"
+            ):
+                cached = self._compute_fused(
+                    entry, bound, apply_reduction, tracer=tracer
+                )
+                fused = cached is not None
             if cached is None:
                 cached = self._compute(
                     entry, bound, apply_reduction, tracer=tracer
                 )
             result = cached.results.get(search)
+            if span is not None:
+                span.set("sweep_ran", fused or result is None)
             if result is None:
-                if span is not None:
-                    span.set("sweep_ran", True)
+                structure = self._structure_of(
+                    entry, cached, apply_reduction, tracer=tracer
+                )
                 if search == "binary":
                     from repro.engine.kernels import bandwidth_sweep
 
-                    cut, weight = bandwidth_sweep(cached.structure)
+                    cut, weight = bandwidth_sweep(structure)
                     result = ChainCutResult(chain, cut, weight)
                 else:
                     result = bandwidth_min(
@@ -385,11 +481,9 @@ class PrimeStructureCache:
                         cached.valid_from,
                         apply_reduction=apply_reduction,
                         search=search,
-                        structure=cached.structure,
+                        structure=structure,
                     )
                 cached.results[search] = result
-            elif span is not None:
-                span.set("sweep_ran", False)
         if "REPRO_VERIFY" in os.environ:
             # Self-certification (REPRO_VERIFY=1): certificate-check the
             # served result and cross-check it against a fresh pure-Python

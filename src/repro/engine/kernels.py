@@ -43,7 +43,7 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-from repro.core.feasibility import InfeasibleBoundError
+from repro.core.feasibility import InfeasibleBoundError, check_bound_domain
 from repro.graphs.chain import Chain
 from repro.verify.contracts import complexity
 
@@ -77,8 +77,7 @@ def beta_array(chain: Chain) -> "np.ndarray":
 def validate_bound_array(alpha_max: float, bound: float) -> None:
     """Array-path twin of :func:`repro.core.feasibility.validate_bound`
     taking a precomputed max vertex weight (the cache stores it)."""
-    if bound <= 0:
-        raise ValueError(f"bound K must be positive, got {bound:g}")
+    check_bound_domain(bound)
     if alpha_max > bound:
         raise InfeasibleBoundError(bound, alpha_max)
 

@@ -16,11 +16,32 @@ stated over.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.graphs.task_graph import TaskGraph
+
+
+def _reject_tasks(alpha: List[float]) -> None:
+    """Raise for the first task weight outside the domain, or for a
+    total that overflows."""
+    for i, a in enumerate(alpha):
+        if not math.isfinite(a):
+            raise ValueError(f"task {i} has non-finite weight {a}")
+        if not (a > 0):
+            raise ValueError(f"task {i} has non-positive weight {a}")
+    raise ValueError("total task weight overflows to infinity")
+
+
+def _reject_edges(beta: List[float]) -> None:
+    """Raise for the first NaN or negative edge weight."""
+    for i, b in enumerate(beta):
+        if b != b:
+            raise ValueError(f"edge {i} has NaN weight")
+        if not (b >= 0):
+            raise ValueError(f"edge {i} has negative weight {b}")
 
 
 class Chain:
@@ -30,11 +51,18 @@ class Chain:
     ----------
     alpha:
         Vertex weights, ``alpha[i] > 0`` is the execution requirement of
-        task ``i``.
+        task ``i``.  Every weight and their sum must be finite.
     beta:
-        Edge weights, ``beta[i] > 0`` is the communication volume between
+        Edge weights, ``beta[i] >= 0`` is the communication volume between
         task ``i`` and task ``i + 1``.  Must have length ``len(alpha) - 1``
-        (or 0 when the chain has a single task).
+        (or 0 when the chain has a single task).  ``inf`` is accepted: it
+        marks an edge no optimal cut may use when another choice exists
+        (:func:`repro.core.bicriteria.lexicographic_chain_partition`
+        relies on it).
+
+    Weights outside this domain (NaN anywhere, a non-finite or
+    non-positive task weight, a task total that overflows, a negative
+    edge weight) raise :class:`ValueError`.
     """
 
     __slots__ = ("_alpha", "_beta", "_prefix", "_fingerprint")
@@ -42,22 +70,27 @@ class Chain:
     def __init__(self, alpha: Sequence[float], beta: Sequence[float]) -> None:
         if not alpha:
             raise ValueError("a chain needs at least one task")
-        self._alpha: List[float] = [float(a) for a in alpha]
-        self._beta: List[float] = [float(b) for b in beta]
+        self._alpha: List[float] = list(map(float, alpha))
+        self._beta: List[float] = list(map(float, beta))
         if len(self._beta) != len(self._alpha) - 1:
             raise ValueError(
                 f"chain with {len(self._alpha)} tasks needs "
                 f"{len(self._alpha) - 1} edge weights, got {len(self._beta)}"
             )
-        for i, a in enumerate(self._alpha):
-            if a <= 0:
-                raise ValueError(f"task {i} has non-positive weight {a}")
-        for i, b in enumerate(self._beta):
-            if b < 0:
-                raise ValueError(f"edge {i} has negative weight {b}")
         # prefix[i] = alpha[0] + ... + alpha[i-1]; prefix[0] = 0.
         self._prefix: List[float] = [0.0]
         self._prefix.extend(accumulate(self._alpha))
+        # The input domain: finite positive task weights with a finite
+        # total, non-negative edge weights.  A NaN makes a sum NaN (and
+        # an infinite task weight the total infinite), after which min()
+        # is exact, so the common case costs C-speed passes; the loops
+        # only run to name the offending weight.
+        if not (math.isfinite(self._prefix[-1]) and min(self._alpha) > 0):
+            _reject_tasks(self._alpha)
+        if self._beta:
+            edge_total = sum(self._beta)
+            if edge_total != edge_total or not (min(self._beta) >= 0):
+                _reject_edges(self._beta)
         self._fingerprint: str = ""  # computed lazily
 
     # ------------------------------------------------------------------

@@ -216,6 +216,37 @@ class FaultInjectionHarness:
 # ----------------------------------------------------------------------
 
 
+@contextmanager
+def _python_kernels(backend: str) -> Iterator[None]:
+    """Run the body on the cache's Python-kernel miss path.
+
+    On the NumPy backend a binary-search miss normally goes to the
+    native fused kernel; with :func:`repro.engine.native.load` patched
+    to return ``None`` (as when no compiler is available) the miss
+    builds the NumPy structure and runs the Python sweep, so the
+    structure and sweep injection sites are reached.
+    """
+    if backend != "numpy":
+        yield
+        return
+    from repro.engine import native
+
+    real = native.load
+    native.load = lambda: None
+    try:
+        yield
+    finally:
+        native.load = real
+
+
+def _native_available(backend: str) -> bool:
+    if backend != "numpy":
+        return False
+    from repro.engine import native
+
+    return native.load() is not None
+
+
 def certify_structure_compute_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
@@ -236,20 +267,21 @@ def certify_structure_compute_fault(
     else:
         namespace = cache_mod
         attribute = "compute_prime_structure"
-    with harness.inject(namespace, attribute):
-        try:
-            engine.solve(_canonical_chain(), _CANONICAL_BOUND)
-        except InjectedFault:
-            pass
-        else:
-            raise FaultInjectionError(
-                "structure fault was swallowed instead of propagating"
-            )
-    _require(
-        _lock_released(engine.cache._lock),
-        "cache lock still held after a structure-build fault",
-    )
-    harness._certify_recovered(engine, "structure-build fault")
+    with _python_kernels(harness.backend):
+        with harness.inject(namespace, attribute):
+            try:
+                engine.solve(_canonical_chain(), _CANONICAL_BOUND)
+            except InjectedFault:
+                pass
+            else:
+                raise FaultInjectionError(
+                    "structure fault was swallowed instead of propagating"
+                )
+        _require(
+            _lock_released(engine.cache._lock),
+            "cache lock still held after a structure-build fault",
+        )
+        harness._certify_recovered(engine, "structure-build fault")
     return {"site": attribute, "recovered": True}
 
 
@@ -261,20 +293,22 @@ def certify_sweep_kernel_fault(
 
     engine = harness._fresh_engine()
     # ``_solve_impl`` imports the sweep lazily on every binary-search
-    # solve (both backends), so patching the kernels module attribute
-    # injects right inside the ``with self._lock`` region.
-    with harness.inject(kernels, "bandwidth_sweep"):
-        try:
-            engine.solve(_canonical_chain(), _CANONICAL_BOUND)
-        except InjectedFault:
-            pass
-        else:
-            raise FaultInjectionError("sweep fault was swallowed")
-    _require(
-        _lock_released(engine.cache._lock),
-        "cache lock still held after a sweep-kernel fault",
-    )
-    harness._certify_recovered(engine, "sweep-kernel fault")
+    # solve that misses without the native kernel (both backends), so
+    # patching the kernels module attribute injects right inside the
+    # ``with self._lock`` region.
+    with _python_kernels(harness.backend):
+        with harness.inject(kernels, "bandwidth_sweep"):
+            try:
+                engine.solve(_canonical_chain(), _CANONICAL_BOUND)
+            except InjectedFault:
+                pass
+            else:
+                raise FaultInjectionError("sweep fault was swallowed")
+        _require(
+            _lock_released(engine.cache._lock),
+            "cache lock still held after a sweep-kernel fault",
+        )
+        harness._certify_recovered(engine, "sweep-kernel fault")
     return {"site": "bandwidth_sweep", "recovered": True}
 
 
@@ -718,15 +752,24 @@ def certify_traced_solve_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
     """Fault a solve *under an enabled tracer*: the span stack must
-    unwind with the solve and the next traced solve must succeed."""
+    unwind with the solve and the next traced solve must succeed.
+
+    With the native kernel available the fault is raised inside its
+    ``kernel_dispatch`` span, at :func:`repro.engine.native.fused_solve`.
+    """
     import repro.engine.cache as cache_mod
     from repro.engine import kernels
     from repro.observability.spans import Tracer
 
     tracer = Tracer(enabled=True)
     engine = harness._fresh_engine(tracer=tracer)
-    if harness.backend == "numpy":
-        namespace: Any = kernels
+    if _native_available(harness.backend):
+        from repro.engine import native
+
+        namespace: Any = native
+        attribute = "fused_solve"
+    elif harness.backend == "numpy":
+        namespace = kernels
         attribute = "compute_prime_structure_numpy"
     else:
         namespace = cache_mod

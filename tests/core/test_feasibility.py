@@ -32,6 +32,16 @@ class TestValidateBound:
         with pytest.raises(ValueError, match="positive"):
             validate_bound([1.0], -2.0)
 
+    def test_nan_bound_rejected(self):
+        # Before the domain check a NaN bound passed ``bound <= 0`` and
+        # the reference and the engine returned different cuts.
+        with pytest.raises(ValueError, match="positive and finite"):
+            validate_bound([1.0], float("nan"))
+
+    def test_infinite_bound_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            validate_bound([1.0], float("inf"))
+
     def test_exception_hierarchy(self):
         assert issubclass(InfeasibleBoundError, PartitioningError)
         assert issubclass(PartitioningError, Exception)

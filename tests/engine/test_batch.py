@@ -92,6 +92,31 @@ class TestSolveMany:
         assert [r.ok for r in results] == [True, False, True]
         assert "below the maximum vertex weight" in results[1].error
 
+    def test_out_of_domain_inputs_are_per_query_errors(self):
+        # NaN weights, a NaN bound and an overflowing total used to be
+        # solved, with the engine and the reference disagreeing.
+        nan = float("nan")
+        engine = PartitionEngine()
+        queries = [
+            PartitionQuery((1.0, nan, 2.0), (1.0, 1.0), 5.0, tag="nan-task"),
+            PartitionQuery((1.0, 2.0), (1.0,), nan, tag="nan-bound"),
+            PartitionQuery(
+                (1e308, 1e308, 1.0, 1e308), (3.0, 1.0, 2.0), 1.5e308,
+                tag="overflow",
+            ),
+            PartitionQuery((1.0, 2.0), (1.0,), 3.0, tag="good"),
+        ]
+        results = engine.solve_many(queries)
+        assert [r.ok for r in results] == [False, False, False, True]
+        assert "non-finite" in results[0].error
+        assert "positive and finite" in results[1].error
+        assert "overflows" in results[2].error
+
+    def test_nan_bound_rejected_by_solve(self):
+        engine = PartitionEngine()
+        with pytest.raises(ValueError, match="positive and finite"):
+            engine.solve(random_chain(10, rng=5), float("nan"))
+
     def test_jsonl_round_trip(self):
         engine = PartitionEngine()
         queries = make_queries(num=4)

@@ -387,6 +387,12 @@ class TestSweepFixupLoops:
         with pytest.raises(ValueError, match="positive"):
             kernels.validate_bound_array(0.0, 0.0)
 
+    def test_validate_bound_rejects_nan_and_inf(self):
+        with pytest.raises(ValueError, match="finite"):
+            kernels.validate_bound_array(1.0, float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            kernels.validate_bound_array(1.0, float("inf"))
+
     def test_down_sweep_to_minimum_window(self):
         # prefix[a+2] - prefix[a] > bound while prefix[a+2] <= prefix[a]
         # + bound (at a = 2): the searchsorted seed lands at a + 3 and

@@ -33,6 +33,43 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             Chain([1, 2], [-1])
 
+    def test_rejects_nan_task_weight(self):
+        # Before the domain check, alpha=[1, NaN, 2] was accepted and
+        # the reference and the engine disagreed on it (cut [0, 1]
+        # against []).
+        with pytest.raises(ValueError, match="task 1 has non-finite"):
+            Chain([1, float("nan"), 2], [1, 1])
+
+    def test_rejects_infinite_task_weight(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Chain([1, float("inf")], [1])
+        with pytest.raises(ValueError, match="non-finite"):
+            Chain([float("-inf"), 1], [1])
+
+    def test_rejects_overflowing_total(self):
+        # Every weight is finite, but the prefix total overflows; the
+        # reference then returned a non-optimal cost.
+        with pytest.raises(ValueError, match="overflows"):
+            Chain([1e308, 1e308, 1, 1e308], [3, 1, 2])
+
+    def test_rejects_nan_edge_weight(self):
+        with pytest.raises(ValueError, match="edge 1 has NaN"):
+            Chain([1, 2, 3], [1, float("nan")])
+        with pytest.raises(ValueError, match="edge 0 has negative"):
+            Chain([1, 2], [float("-inf")])
+
+    def test_infinite_edge_weight_marks_a_forbidden_edge(self):
+        chain = Chain([1, 2, 3], [1, float("inf")])
+        assert chain.edge_weight(1) == float("inf")
+
+    def test_finite_edges_with_overflowing_sum_allowed(self):
+        chain = Chain([1, 1, 1], [1e308, 1e308])
+        assert chain.beta == [1e308, 1e308]
+
+    def test_largest_finite_weights_allowed(self):
+        chain = Chain([1e308], [])
+        assert chain.total_weight() == 1e308
+
     def test_zero_edge_weight_allowed(self):
         chain = Chain([1, 2], [0.0])
         assert chain.edge_weight(0) == 0.0
