@@ -27,7 +27,10 @@ Claims reproduced / asserted:
   pipeline, and the disabled telemetry paths (``NULL_HUB`` guard,
   null-hub publishes, locked ``Counter.inc``) stay allocation-free;
 - a cold n=1e5 query through the native fused kernel beats the
-  Python-kernel fallback path >= 2x in the same run.
+  Python-kernel fallback path >= 2x in the same run;
+- a cold n=1e5 query from weight lists (``Chain`` build, validation,
+  fingerprint and solve) beats a replica of the list-backed ingest it
+  replaced >= 1.4x in the same run.
 
 All tests also run (and still assert correctness) under
 ``--benchmark-disable``, so this file doubles as an engine smoke test.
@@ -51,6 +54,7 @@ np = pytest.importorskip("numpy")
 from benchmarks.conftest import make_chain
 from repro.core.bandwidth import bandwidth_min
 from repro.engine import PartitionEngine, PartitionQuery, compile_chain
+from repro.graphs.chain import Chain
 
 N_TASKS = 10_000
 NUM_BOUNDS = 100
@@ -383,14 +387,14 @@ def test_lock_overhead(benchmark):
 
     ``PrimeStructureCache.solve`` now runs its miss path under the
     object's ``@shared_state`` RLock.  Raced against a lock-free inline
-    replica of the same cold pipeline (validate → array conversion →
-    native fused kernel, or NumPy prime structure → sweep without it —
-    the exact work a miss performs), the lock acquisition must disappear
+    replica of the same cold pipeline (validate against the chain's
+    ``max_vertex_weight`` → the chain's own arrays → native fused
+    kernel, or NumPy prime structure → sweep without it — the exact
+    work a miss performs), the lock acquisition must disappear
     next to a 10k-task solve.  Interleaved min-of-reps timing
     as in :func:`test_tracing_disabled_overhead`.
     """
     from repro.core.bandwidth import ChainCutResult
-    from repro.core.feasibility import validate_bound
     from repro.engine import native
     from repro.engine.cache import PrimeStructureCache
     from repro.engine.kernels import (
@@ -398,6 +402,7 @@ def test_lock_overhead(benchmark):
         beta_array,
         compute_prime_structure_numpy,
         prefix_array,
+        validate_bound_array,
     )
 
     chain, bound = make_chain(N_TASKS, 4.0)
@@ -408,14 +413,12 @@ def test_lock_overhead(benchmark):
         return cache.solve(chain, bound)
 
     def replica():
-        validate_bound(chain.alpha, bound)
+        validate_bound_array(chain.max_vertex_weight(), bound)
         prefix, beta = prefix_array(chain), beta_array(chain)
         fused = native.fused_solve(prefix, beta, bound)
         if fused is not None:  # the native kernel serves the miss
             return ChainCutResult(chain, fused.cut, fused.weight)
-        structure = compute_prime_structure_numpy(
-            chain, bound, prefix=prefix, beta=beta
-        )
+        structure = compute_prime_structure_numpy(chain, bound)
         cut, weight = bandwidth_sweep(structure)
         return ChainCutResult(chain, cut, weight)
 
@@ -606,8 +609,9 @@ def _timed(fn):
 
 
 #: Cold n=1e5 query: native fused kernel vs the Python-kernel fallback.
-#: The floor sits far below the measured 7.5-9x (2 vCPUs, gcc 12, -O2) so
-#: only a lost native path trips it; the ratchet gates the ratio.
+#: The floor sits far below the measured 17-23x (2 vCPUs, gcc 12, -O2;
+#: neither leg converts arrays since chains hold them) so only a lost
+#: native path trips it; the ratchet gates the ratio.
 NATIVE_COLD_FLOOR = 2.0
 
 
@@ -615,7 +619,7 @@ def test_native_fused_cold_query(benchmark, monkeypatch):
     """A cold ``PartitionEngine.solve`` at n=1e5 through the native
     fused kernel against the fallback path (NumPy structure + Python
     sweep), interleaved in the same run.  Each rep clears the cache, so
-    both legs pay the array conversion and the whole miss."""
+    both legs pay the whole miss (reading the chain's own arrays)."""
     from repro.engine import native
 
     if native.load() is None:
@@ -657,6 +661,92 @@ def test_native_fused_cold_query(benchmark, monkeypatch):
     _snapshot_record("native_fused_cold_1e5", native_med, speedup=speedup)
     monkeypatch.setattr(native, "load", real_load)
     benchmark(lambda: cold(True))
+
+
+#: Cold n=1e5 ``Chain(list, list)`` + ``engine.solve`` against a replica
+#: of the list-backed ingest it replaced.  The floor sits far below the
+#: measured 1.85-2.3x (2 vCPUs, numpy 2.4) so only a lost array path
+#: trips it; the ratchet gates the ratio.
+INGEST_COLD_FLOOR = 1.4
+
+
+def _list_backed_solve(alpha, beta, bound):
+    """The list-backed ingest path, as it ran before chains held arrays:
+    float lists, an ``accumulate`` prefix list, the C-speed domain
+    screen, a ``struct.pack`` fingerprint, two ``np.asarray``
+    conversions, then the same native cold miss the engine runs."""
+    import hashlib
+    import math
+    import struct
+    from itertools import accumulate
+
+    from repro.engine import native
+    from repro.engine.kernels import validate_bound_array
+
+    alpha = list(map(float, alpha))
+    beta = list(map(float, beta))
+    prefix = [0.0]
+    prefix.extend(accumulate(alpha))
+    assert math.isfinite(prefix[-1]) and min(alpha) > 0
+    edge_total = sum(beta)
+    assert edge_total == edge_total and min(beta) >= 0
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(struct.pack("<q", len(alpha)))
+    digest.update(struct.pack(f"<{len(alpha)}d", *alpha))
+    digest.update(struct.pack(f"<{len(beta)}d", *beta))
+    digest.hexdigest()
+    validate_bound_array(max(alpha), bound)
+    prefix_arr = np.asarray(prefix, dtype=np.float64)
+    beta_arr = np.asarray(beta, dtype=np.float64)
+    fused = native.fused_solve(prefix_arr, beta_arr, bound)
+    return fused.cut, fused.weight
+
+
+def test_chain_ingest_cold_query(benchmark):
+    """A cold n=1e5 query from weight lists: ``Chain(list, list)`` plus
+    ``PartitionEngine.solve`` on a fresh cache, against the list-backed
+    replica above, interleaved, median of 7.  Both legs solve the miss
+    with the native kernel, so the ratio measures the ingest: build,
+    validate, fingerprint and array conversion."""
+    from repro.engine import native
+
+    if native.load() is None:
+        pytest.skip("native kernel unavailable (no C compiler)")
+    chain, bound = make_chain(100_000, 4.0)
+    alpha, beta = chain.alpha_array.tolist(), chain.beta_array.tolist()
+    engine = PartitionEngine()
+
+    def array_backed():
+        engine.cache.clear()
+        result = engine.solve(Chain(alpha, beta), bound)
+        return result.cut_indices, result.weight
+
+    cut, weight = array_backed()
+    ref_cut, ref_weight = _list_backed_solve(alpha, beta, bound)
+    assert cut == list(ref_cut)
+    assert weight.hex() == ref_weight.hex()
+    new_s, old_s = [], []
+    for rep in range(7):
+        # Alternate order so frequency-scaling drift favors neither.
+        for new in ((True, False) if rep % 2 else (False, True)):
+            if new:
+                new_s.append(_timed(array_backed))
+            else:
+                old_s.append(
+                    _timed(lambda: _list_backed_solve(alpha, beta, bound))
+                )
+    new_med = sorted(new_s)[len(new_s) // 2]
+    old_med = sorted(old_s)[len(old_s) // 2]
+    speedup = old_med / new_med
+    benchmark.extra_info["array_ms"] = round(new_med * 1e3, 3)
+    benchmark.extra_info["list_ms"] = round(old_med * 1e3, 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup >= INGEST_COLD_FLOOR, (
+        f"array-backed cold ingest only {speedup:.2f}x faster than the "
+        f"list-backed replica ({new_med * 1e3:.2f}ms vs {old_med * 1e3:.2f}ms)"
+    )
+    _snapshot_record("chain_ingest_cold_1e5", new_med, speedup=speedup)
+    benchmark(array_backed)
 
 
 def test_batch_throughput(benchmark):

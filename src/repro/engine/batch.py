@@ -76,17 +76,35 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
         objective: str = "bandwidth",
         tag: Optional[str] = None,
     ) -> "PartitionQuery":
-        return cls(tuple(chain.alpha), tuple(chain.beta), bound, objective, tag)
+        return cls(
+            tuple(chain.alpha_array.tolist()),
+            tuple(chain.beta_array.tolist()),
+            bound,
+            objective,
+            tag,
+        )
 
     def chain(self) -> Chain:
-        return Chain(list(self.alpha), list(self.beta))
+        return Chain(self.alpha, self.beta)
 
     @classmethod
     def from_json(cls, line: str) -> "PartitionQuery":
+        """Parse one JSONL query record.
+
+        ``alpha`` and ``beta`` must be JSON arrays: a string such as
+        ``"12"`` would otherwise be read character by character.
+        """
         record = json.loads(line)
+        alpha, beta = record["alpha"], record.get("beta", [])
+        for name, values in (("alpha", alpha), ("beta", beta)):
+            if not isinstance(values, list):
+                raise ValueError(
+                    f"{name} must be a JSON array of numbers, "
+                    f"got {type(values).__name__}"
+                )
         return cls(
-            tuple(float(a) for a in record["alpha"]),
-            tuple(float(b) for b in record.get("beta", [])),
+            tuple(float(a) for a in alpha),
+            tuple(float(b) for b in beta),
             float(record["bound"]),
             record.get("objective", "bandwidth"),
             record.get("tag"),
@@ -121,21 +139,33 @@ class QueryResult:  # repro-lint: disable=REPRO002 (field defaults block slots o
         return self.error is None
 
     def to_json(self) -> str:
+        """The result as one strict JSON line.
+
+        JSON has no literal for a non-finite number, so a ``bound`` or
+        ``weight`` of ``inf``/NaN is written as ``null`` (an error
+        record's message already names the bad bound; a weight is
+        infinite only when the cut must use an ``inf`` edge).
+        """
         record: Dict = {
             "index": self.index,
             "tag": self.tag,
             "objective": self.objective,
-            "bound": self.bound,
+            "bound": _json_number(self.bound),
         }
         if self.ok:
             record.update(
                 cut=self.cut_indices,
-                weight=self.weight,
+                weight=_json_number(self.weight),
                 components=self.num_components,
             )
         else:
             record["error"] = self.error
-        return json.dumps(record)
+        return json.dumps(record, allow_nan=False)
+
+
+def _json_number(value: float) -> Optional[float]:
+    """``value``, or ``None`` when JSON cannot represent it."""
+    return value if math.isfinite(value) else None
 
 
 class BatchStats:
@@ -535,7 +565,7 @@ class PartitionEngine:
             ]
             if len(eligible) < 2:
                 continue
-            chain = Chain(list(alpha), list(beta))
+            chain = Chain(alpha, beta)
             t0 = time.perf_counter()
             try:
                 weights, cuts = self.solve_sweep(
@@ -731,7 +761,7 @@ def _solve_payload(
     t0 = time.perf_counter()
     gap: Optional[float] = None
     try:
-        chain = Chain(list(alpha), list(beta))
+        chain = Chain(alpha, beta)
         result = _solve_one(engine, chain, bound, objective, tracer)
         answer = QueryResult(
             index,

@@ -11,8 +11,8 @@ module adds the shared-preprocessing layer:
   (:meth:`repro.graphs.chain.Chain.fingerprint`), so equal chains —
   even deserialized copies in different worker processes — share cache
   entries;
-- per chain, the float64 prefix/beta arrays are converted once and
-  reused by every NumPy-kernel call;
+- per chain, every NumPy-kernel call reads the chain's own read-only
+  float64 prefix/beta arrays (built once, by the ``Chain``);
 - computed prime structures are kept in an LRU keyed by
   ``(fingerprint, K)``, together with the Algorithm-4.1 result computed
   from them (the optimal cut is a pure function of the structure);
@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.prime_subpaths import compute_prime_structure
+from repro.engine import kernels
 from repro.engine.kernels import validate_bound_array
 from repro.engine.plan import CompiledChainPlan, compile_chain
 from repro.graphs.chain import Chain
@@ -130,20 +131,14 @@ class _CachedSolve:
 
 
 class _ChainEntry:
-    """Per-fingerprint state: converted arrays plus the structure LRU."""
+    """Per-fingerprint state: the chain, its max task weight and the
+    structure LRU."""
 
-    __slots__ = ("chain", "prefix", "beta", "alpha_max", "structures")
+    __slots__ = ("chain", "alpha_max", "structures")
 
-    def __init__(self, chain: Chain, use_numpy: bool) -> None:
+    def __init__(self, chain: Chain) -> None:
         self.chain = chain
         self.alpha_max = chain.max_vertex_weight()
-        self.prefix: Optional[Any] = None
-        self.beta: Optional[Any] = None
-        if use_numpy:
-            from repro.engine import kernels
-
-            self.prefix = kernels.prefix_array(chain)
-            self.beta = kernels.beta_array(chain)
         # (bound, apply_reduction) -> _CachedSolve, in LRU order.
         self.structures: "OrderedDict[Tuple[float, bool], _CachedSolve]" = (
             OrderedDict()
@@ -235,7 +230,7 @@ class PrimeStructureCache:
         key = chain.fingerprint()
         entry = self._entries.get(key)
         if entry is None:
-            entry = _ChainEntry(chain, use_numpy=self.backend == "numpy")
+            entry = _ChainEntry(chain)
             self._entries[key] = entry
             if len(self._entries) > self.max_chains:
                 self._entries.popitem(last=False)
@@ -270,14 +265,10 @@ class PrimeStructureCache:
         tracer: Optional["Tracer"] = None,
     ) -> Any:
         if self.backend == "numpy":
-            from repro.engine.kernels import compute_prime_structure_numpy
-
-            return compute_prime_structure_numpy(
+            return kernels.compute_prime_structure_numpy(
                 entry.chain,
                 bound,
                 apply_reduction=apply_reduction,
-                prefix=entry.prefix,
-                beta=entry.beta,
                 tracer=tracer,
             )
         return compute_prime_structure(
@@ -351,7 +342,10 @@ class PrimeStructureCache:
             "kernel_dispatch", kernel="native_fused", n=entry.chain.num_tasks
         ) as span:
             fused = native.fused_solve(
-                entry.prefix, entry.beta, bound, apply_reduction
+                kernels.prefix_array(entry.chain),
+                kernels.beta_array(entry.chain),
+                bound,
+                apply_reduction,
             )
             if fused is None:
                 return None
@@ -471,9 +465,7 @@ class PrimeStructureCache:
                     entry, cached, apply_reduction, tracer=tracer
                 )
                 if search == "binary":
-                    from repro.engine.kernels import bandwidth_sweep
-
-                    cut, weight = bandwidth_sweep(structure)
+                    cut, weight = kernels.bandwidth_sweep(structure)
                     result = ChainCutResult(chain, cut, weight)
                 else:
                     result = bandwidth_min(

@@ -58,20 +58,18 @@ def require_numpy() -> None:
 
 
 def prefix_array(chain: Chain) -> "np.ndarray":
-    """The chain's prefix-weight array as a float64 ndarray (len n + 1).
+    """The chain's read-only float64 prefix-weight array (len n + 1).
 
-    ``np.asarray`` over the chain's cached Python prefix list keeps the
-    exact same floats (``itertools.accumulate`` and sequential summation
-    agree bit-for-bit), so downstream comparisons match the reference.
+    No copy: the chain computed it once, with ``np.cumsum``, which adds
+    sequentially and so matches the reference's ``itertools.accumulate``
+    bit for bit.
     """
-    require_numpy()
-    return np.asarray(chain.prefix_weights(), dtype=np.float64)
+    return chain.prefix_array
 
 
 def beta_array(chain: Chain) -> "np.ndarray":
-    """Edge weights as a float64 ndarray (len n - 1)."""
-    require_numpy()
-    return np.asarray(chain.beta, dtype=np.float64)
+    """The chain's read-only float64 edge weights (len n - 1), no copy."""
+    return chain.beta_array
 
 
 def validate_bound_array(alpha_max: float, bound: float) -> None:
@@ -375,16 +373,11 @@ def compute_prime_structure_numpy(
     chain: Chain,
     bound: float,
     apply_reduction: bool = True,
-    prefix: Optional["np.ndarray"] = None,
-    beta: Optional["np.ndarray"] = None,
     tracer: Optional["Tracer"] = None,
 ) -> ArrayPrimeStructure:
-    """NumPy fast path for ``PrimeStructure.compute``.
-
-    ``prefix``/``beta`` accept pre-converted arrays so the engine cache
-    pays the list-to-ndarray conversion once per chain, not per bound.
-    Output rows are element-for-element identical to the pure-Python
-    reference.
+    """NumPy fast path for ``PrimeStructure.compute``, over the chain's
+    own prefix and edge arrays.  Output rows are element-for-element
+    identical to the pure-Python reference.
 
     An enabled ``tracer`` wraps the whole dispatch in a
     ``kernel_dispatch`` span (one per vectorized structure build —
@@ -396,17 +389,13 @@ def compute_prime_structure_numpy(
             "kernel_dispatch", kernel="prime_structure", n=chain.num_tasks
         ) as span:
             structure = compute_prime_structure_numpy(
-                chain, bound, apply_reduction=apply_reduction,
-                prefix=prefix, beta=beta,
+                chain, bound, apply_reduction=apply_reduction
             )
             span.set("p", structure.p)
             span.set("r", structure.r)
         return structure
     require_numpy()
-    if prefix is None:
-        prefix = prefix_array(chain)
-    if beta is None:
-        beta = beta_array(chain)
+    prefix, beta = prefix_array(chain), beta_array(chain)
     # Take the max from the authoritative per-task weights: differencing
     # the prefix array can be off by an ulp, which must not change
     # feasibility verdicts relative to the reference.

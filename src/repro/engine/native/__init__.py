@@ -228,7 +228,7 @@ def fused_solve(
     """Algorithm 4.1 for one validated ``(chain, bound)`` in native code.
 
     ``prefix`` (length ``n + 1``) and ``beta`` (length ``n - 1``) are the
-    chain's float64 arrays as the engine cache holds them, and ``bound``
+    chain's own read-only float64 arrays (passed without a copy), and ``bound``
     must already have passed ``validate_bound_array``.  Returns ``None``
     when the native kernel is unavailable.
     """

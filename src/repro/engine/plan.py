@@ -556,7 +556,7 @@ class CompiledChainPlan:
             # The batched recurrence yields weights only; certify the
             # claimed weight on the reference cut (the cross-check
             # inside re-solves the perturbed chain and must agree).
-            perturbed = Chain(self.chain.alpha, row.tolist())
+            perturbed = Chain(self.chain.alpha_array, row)
             reference = bandwidth_min(perturbed, bound, backend="python")
             maybe_verify_cache_solve(
                 perturbed,

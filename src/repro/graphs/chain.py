@@ -18,10 +18,49 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from itertools import accumulate
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs.task_graph import TaskGraph
+
+
+def float_weights(values: Any, name: str) -> "np.ndarray":
+    """A fresh one-dimensional float64 copy of ``values``.
+
+    Accepts a sequence or an iterator of numbers (lists, tuples,
+    ``range``, generators, NumPy arrays of any real dtype); every
+    element converts exactly as ``float(x)`` would.  A string, a scalar
+    or a nested sequence raises :class:`ValueError`.
+    """
+    if isinstance(values, (str, bytes)):
+        raise ValueError(
+            f"{name} must be a sequence of numbers, got {type(values).__name__}"
+        )
+    if isinstance(values, Iterator):
+        values = list(values)  # generators, map objects, ...
+    array = np.array(values, dtype=np.float64)
+    if array.ndim != 1:
+        raise ValueError(
+            f"{name} must be one-dimensional, got {array.ndim}-d input"
+        )
+    return array
+
+
+def check_weight_domain(
+    alpha: "np.ndarray", total: float, beta: "np.ndarray"
+) -> None:
+    """Raise :class:`ValueError` unless the weights are in the input
+    domain shared by chains and rings: finite positive task weights with
+    a finite ``total``, edge weights neither NaN nor negative.
+
+    ``min`` propagates NaN, so the common case costs two C-speed
+    reductions; the loops only run to name the offending weight.
+    """
+    if not (math.isfinite(total) and alpha.min() > 0):
+        _reject_tasks(alpha.tolist())
+    if beta.size and not (beta.min() >= 0):
+        _reject_edges(beta.tolist())
 
 
 def _reject_tasks(alpha: List[float]) -> None:
@@ -62,69 +101,100 @@ class Chain:
 
     Weights outside this domain (NaN anywhere, a non-finite or
     non-positive task weight, a task total that overflows, a negative
-    edge weight) raise :class:`ValueError`.
+    edge weight) raise :class:`ValueError`, as do a string, a scalar or
+    a nested sequence in place of a weight list.
+
+    **One copy.**  The constructor copies the weights once into
+    read-only float64 arrays (:attr:`alpha_array`, :attr:`beta_array`
+    and the prefix sums :attr:`prefix_array`); the engine and the native
+    kernel read these without converting again.  The Python lists the
+    reference algorithms read (:attr:`alpha`, :attr:`beta`,
+    :meth:`prefix_weights`) are built from the arrays on first access.
     """
 
-    __slots__ = ("_alpha", "_beta", "_prefix", "_fingerprint")
+    __slots__ = ("_alpha", "_beta", "_prefix", "_fingerprint",
+                 "_alpha_list", "_beta_list", "_prefix_list")
 
     def __init__(self, alpha: Sequence[float], beta: Sequence[float]) -> None:
-        if not alpha:
+        a = float_weights(alpha, "alpha")
+        if not a.size:
             raise ValueError("a chain needs at least one task")
-        self._alpha: List[float] = list(map(float, alpha))
-        self._beta: List[float] = list(map(float, beta))
-        if len(self._beta) != len(self._alpha) - 1:
+        b = float_weights(beta, "beta")
+        if b.shape[0] != a.shape[0] - 1:
             raise ValueError(
-                f"chain with {len(self._alpha)} tasks needs "
-                f"{len(self._alpha) - 1} edge weights, got {len(self._beta)}"
+                f"chain with {a.shape[0]} tasks needs "
+                f"{a.shape[0] - 1} edge weights, got {b.shape[0]}"
             )
-        # prefix[i] = alpha[0] + ... + alpha[i-1]; prefix[0] = 0.
-        self._prefix: List[float] = [0.0]
-        self._prefix.extend(accumulate(self._alpha))
-        # The input domain: finite positive task weights with a finite
-        # total, non-negative edge weights.  A NaN makes a sum NaN (and
-        # an infinite task weight the total infinite), after which min()
-        # is exact, so the common case costs C-speed passes; the loops
-        # only run to name the offending weight.
-        if not (math.isfinite(self._prefix[-1]) and min(self._alpha) > 0):
-            _reject_tasks(self._alpha)
-        if self._beta:
-            edge_total = sum(self._beta)
-            if edge_total != edge_total or not (min(self._beta) >= 0):
-                _reject_edges(self._beta)
+        # prefix[i] = alpha[0] + ... + alpha[i-1]; prefix[0] = 0.  cumsum
+        # adds sequentially, so it is bit-identical to itertools.accumulate.
+        prefix = np.empty(a.shape[0] + 1, dtype=np.float64)
+        prefix[0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(a, out=prefix[1:])
+            check_weight_domain(a, float(prefix[-1]), b)
+        a.flags.writeable = b.flags.writeable = prefix.flags.writeable = False
+        self._alpha, self._beta, self._prefix = a, b, prefix
         self._fingerprint: str = ""  # computed lazily
+        self._alpha_list: Optional[List[float]] = None
+        self._beta_list: Optional[List[float]] = None
+        self._prefix_list: Optional[List[float]] = None
+
+    def __reduce__(self) -> Tuple[Any, Tuple["np.ndarray", "np.ndarray"]]:
+        # Rebuild through the constructor: unpickled arrays come back
+        # writeable, and the constructor makes them read-only again.
+        return (type(self), (self._alpha, self._beta))
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
     def num_tasks(self) -> int:
-        return len(self._alpha)
+        return self._alpha.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return len(self._beta)
+        return self._beta.shape[0]
 
     @property
-    def alpha(self) -> List[float]:
-        """Vertex weights (do not mutate)."""
+    def alpha_array(self) -> "np.ndarray":
+        """Vertex weights as a read-only float64 array (len ``n``)."""
         return self._alpha
 
     @property
-    def beta(self) -> List[float]:
-        """Edge weights (do not mutate)."""
+    def beta_array(self) -> "np.ndarray":
+        """Edge weights as a read-only float64 array (len ``n - 1``)."""
         return self._beta
 
+    @property
+    def prefix_array(self) -> "np.ndarray":
+        """Prefix weights as a read-only float64 array (len ``n + 1``)."""
+        return self._prefix
+
+    @property
+    def alpha(self) -> List[float]:
+        """Vertex weights as a list, built on first access (do not mutate)."""
+        if self._alpha_list is None:
+            self._alpha_list = self._alpha.tolist()
+        return self._alpha_list
+
+    @property
+    def beta(self) -> List[float]:
+        """Edge weights as a list, built on first access (do not mutate)."""
+        if self._beta_list is None:
+            self._beta_list = self._beta.tolist()
+        return self._beta_list
+
     def vertex_weight(self, i: int) -> float:
-        return self._alpha[i]
+        return self.alpha[i]
 
     def edge_weight(self, i: int) -> float:
-        return self._beta[i]
+        return self.beta[i]
 
     def total_weight(self) -> float:
-        return self._prefix[-1]
+        return float(self._prefix[-1])
 
     def max_vertex_weight(self) -> float:
-        return max(self._alpha)
+        return float(self._alpha.max())
 
     def segment_weight(self, lo: int, hi: int) -> float:
         """Total vertex weight of tasks ``lo .. hi`` inclusive, in O(1).
@@ -137,16 +207,21 @@ class Chain:
         if not (0 <= lo <= hi < self.num_tasks):
             raise IndexError(f"segment [{lo}, {hi}] out of range")
         if lo == hi:
-            return self._alpha[lo]
-        return self._prefix[hi + 1] - self._prefix[lo]
+            return self.alpha[lo]
+        prefix = self.prefix_weights()
+        return prefix[hi + 1] - prefix[lo]
 
     def prefix_weights(self) -> List[float]:
-        """``prefix[i]`` = total weight of tasks ``0 .. i-1`` (len ``n + 1``)."""
-        return self._prefix
+        """``prefix[i]`` = total weight of tasks ``0 .. i-1`` (len ``n + 1``),
+        as a list built on first access (do not mutate)."""
+        if self._prefix_list is None:
+            self._prefix_list = self._prefix.tolist()
+        return self._prefix_list
 
     def cut_weight(self, cut: Iterable[int]) -> float:
         """Total edge weight of a cut given as edge indices (the *bandwidth*)."""
-        return sum(self._beta[i] for i in cut)
+        beta = self.beta
+        return sum(beta[i] for i in cut)
 
     def fingerprint(self) -> str:
         """Content hash of the chain (hex digest, cached after first call).
@@ -154,14 +229,15 @@ class Chain:
         Two chains with bit-identical ``alpha``/``beta`` share a
         fingerprint, even across processes — the key the engine's
         :class:`~repro.engine.cache.PrimeStructureCache` uses to share
-        preprocessing between queries on equal chains.
+        preprocessing between queries on equal chains.  The digest
+        covers the task count and the little-endian bytes of both
+        weight arrays.
         """
         if not self._fingerprint:
             digest = hashlib.blake2b(digest_size=16)
-            digest.update(struct.pack("<q", len(self._alpha)))
-            digest.update(struct.pack(f"<{len(self._alpha)}d", *self._alpha))
-            if self._beta:
-                digest.update(struct.pack(f"<{len(self._beta)}d", *self._beta))
+            digest.update(struct.pack("<q", self.num_tasks))
+            digest.update(self._alpha.astype("<f8", copy=False))
+            digest.update(self._beta.astype("<f8", copy=False))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -200,7 +276,7 @@ class Chain:
     def to_task_graph(self) -> TaskGraph:
         """The equivalent general :class:`TaskGraph` (vertices ``0..n-1``)."""
         edges = [(i, i + 1) for i in range(self.num_edges)]
-        return TaskGraph(self._alpha, edges, self._beta)
+        return TaskGraph(self.alpha, edges, self.beta)
 
     @classmethod
     def from_task_graph(cls, graph: TaskGraph) -> "Chain":
@@ -231,7 +307,10 @@ class Chain:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chain):
             return NotImplemented
-        return self._alpha == other._alpha and self._beta == other._beta
+        return bool(
+            np.array_equal(self._alpha, other._alpha)
+            and np.array_equal(self._beta, other._beta)
+        )
 
     def __repr__(self) -> str:
         return f"Chain(n={self.num_tasks}, W={self.total_weight():g})"

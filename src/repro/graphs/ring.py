@@ -18,33 +18,35 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.graphs.chain import Chain
+from repro.graphs.chain import Chain, check_weight_domain, float_weights
 from repro.graphs.task_graph import TaskGraph
 
 
 class Ring:
-    """A circular task graph with ``n`` tasks and ``n`` edges."""
+    """A circular task graph with ``n`` tasks and ``n`` edges.
+
+    The weights obey the same input domain as :class:`Chain`, checked
+    the same way and with the same error messages: finite positive task
+    weights with a finite total, edge weights neither NaN nor negative.
+    """
 
     __slots__ = ("_alpha", "_beta", "_prefix")
 
     def __init__(self, alpha: Sequence[float], beta: Sequence[float]) -> None:
         if len(alpha) < 3:
             raise ValueError("a ring needs at least three tasks")
-        self._alpha: List[float] = [float(a) for a in alpha]
-        self._beta: List[float] = [float(b) for b in beta]
+        alpha_array = float_weights(alpha, "alpha")
+        beta_array = float_weights(beta, "beta")
+        self._alpha: List[float] = alpha_array.tolist()
+        self._beta: List[float] = beta_array.tolist()
         if len(self._beta) != len(self._alpha):
             raise ValueError(
                 f"ring with {len(self._alpha)} tasks needs "
                 f"{len(self._alpha)} edge weights, got {len(self._beta)}"
             )
-        for i, a in enumerate(self._alpha):
-            if a <= 0:
-                raise ValueError(f"task {i} has non-positive weight {a}")
-        for i, b in enumerate(self._beta):
-            if b < 0:
-                raise ValueError(f"edge {i} has negative weight {b}")
         self._prefix = [0.0]
         self._prefix.extend(accumulate(self._alpha))
+        check_weight_domain(alpha_array, self._prefix[-1], beta_array)
 
     # ------------------------------------------------------------------
     # Accessors

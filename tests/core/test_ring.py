@@ -44,6 +44,52 @@ class TestRingStructure:
         with pytest.raises(ValueError):
             Ring([1, 2, 3], [1, 2])
 
+    def test_rejects_nan_task_weight(self):
+        # Used to be accepted, with a NaN total.
+        with pytest.raises(ValueError, match="task 1 has non-finite weight nan"):
+            Ring([1, float("nan"), 2], [1, 1, 1])
+
+    def test_rejects_infinite_task_weight(self):
+        with pytest.raises(ValueError, match="task 2 has non-finite weight inf"):
+            Ring([1, 2, float("inf")], [1, 1, 1])
+
+    def test_rejects_non_positive_task_weight(self):
+        with pytest.raises(ValueError, match="task 0 has non-positive weight 0.0"):
+            Ring([0, 1, 2], [1, 1, 1])
+
+    def test_rejects_overflowing_total(self):
+        with pytest.raises(ValueError, match="total task weight overflows"):
+            Ring([1e308, 1e308, 1.0], [1, 1, 1])
+
+    def test_rejects_nan_and_negative_edges(self):
+        with pytest.raises(ValueError, match="edge 2 has NaN weight"):
+            Ring([1, 2, 3], [1, 1, float("nan")])
+        with pytest.raises(ValueError, match="edge 0 has negative weight -1.0"):
+            Ring([1, 2, 3], [-1, 1, 1])
+
+    def test_rejects_string_weight_list(self):
+        with pytest.raises(ValueError, match="alpha must be a sequence"):
+            Ring("123", [1, 1, 1])
+
+    def test_messages_match_chain(self):
+        cases = [
+            ([1, float("nan"), 2], [1, 1]),
+            ([1, -2, 2], [1, 1]),
+            ([1e308, 1e308, 1], [1, 1]),
+            ([1, 2, 3], [1, float("nan")]),
+            ([1, 2, 3], [1, -3.5]),
+        ]
+        for alpha, chain_beta in cases:
+            with pytest.raises(ValueError) as chain_error:
+                Chain(alpha, chain_beta)
+            with pytest.raises(ValueError) as ring_error:
+                Ring(alpha, chain_beta + [1.0])
+            assert str(ring_error.value) == str(chain_error.value)
+
+    def test_infinite_edge_accepted_like_chain(self):
+        ring = Ring([1, 2, 3], [1, float("inf"), 1])
+        assert ring.edge_weight(1) == float("inf")
+
     def test_arc_weight_wrapping(self, small_ring):
         assert small_ring.arc_weight(0, 5) == 20
         assert small_ring.arc_weight(3, 3) == 2 + 6 + 4  # tasks 3,4,0

@@ -188,6 +188,57 @@ class TestBatchCli:
         ) == 0
         assert sweep_out.read_text() == plain_out.read_text()
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"alpha": "12", "bound": 5},
+            {"alpha": [1, 2], "beta": "3", "bound": 5},
+            {"alpha": 3, "beta": [], "bound": 5},
+            {"alpha": {"0": 1}, "bound": 5},
+        ],
+    )
+    def test_non_array_weights_are_invalid_records(self, tmp_path, record):
+        # "alpha": "12" used to be read as the weights (1.0, 2.0).
+        good = {"alpha": [1, 1], "beta": [1], "bound": 2}
+        inp = tmp_path / "q.jsonl"
+        out = tmp_path / "r.jsonl"
+        inp.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="invalid query record on line 2"):
+            PartitionEngine().solve_jsonl(inp.read_text().splitlines())
+        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 2
+
+    def test_output_is_strict_json(self, tmp_path):
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        records = [
+            {"alpha": [1, 2], "beta": [1], "bound": 1e400, "tag": "inf"},
+            {"alpha": [1, 2], "beta": [1], "bound": -1e400, "tag": "-inf"},
+            {"alpha": [1, 2], "beta": [1], "bound": 1.5, "tag": "infeasible"},
+            {"alpha": [1, 1], "beta": [1e400], "bound": 1, "tag": "inf-edge"},
+            {"alpha": [1, 2, 3], "beta": [4, 5], "bound": 5, "tag": "ok"},
+        ]
+        inp = tmp_path / "q.jsonl"
+        out = tmp_path / "r.jsonl"
+        inp.write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+            + '{"alpha": [1, 2], "beta": [1], "bound": NaN, "tag": "nan"}\n'
+        )
+        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 1
+        rows = [
+            json.loads(line, parse_constant=reject)
+            for line in out.read_text().splitlines()
+        ]
+        by_tag = {row["tag"]: row for row in rows}
+        assert len(rows) == 6
+        for tag in ("inf", "-inf", "nan"):
+            assert by_tag[tag]["bound"] is None
+            assert "positive and finite" in by_tag[tag]["error"]
+        assert by_tag["infeasible"]["bound"] == 1.5
+        assert by_tag["inf-edge"]["cut"] == [0]
+        assert by_tag["inf-edge"]["weight"] is None
+        assert by_tag["ok"]["weight"] == 4.0
+
     def test_batch_all_ok_exit_zero(self, tmp_path):
         inp = tmp_path / "q.jsonl"
         out = tmp_path / "r.jsonl"
