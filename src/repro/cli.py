@@ -437,9 +437,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"batch: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # --sweep forces serial dispatch so same-fingerprint bandwidth
-    # queries are answered through one compiled-plan sweep per chain
-    # (the pool would re-pickle each query into a worker instead).
+    # --sweep forces serial dispatch so every same-fingerprint group of
+    # bandwidth queries is answered through one compiled-plan sweep (a
+    # pool worker plan-routes only within its own chunk of lines).
     workers = 0 if args.sweep else args.workers
     try:
         results = engine.solve_jsonl(
@@ -977,12 +977,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="process-pool width; 0 = serial in-process (default)")
     p.add_argument("--chunksize", type=int, default=None,
-                   help="queries pickled per pool task (default: balanced)")
+                   help="input lines per pool task (default: balanced)")
     p.add_argument("--sweep", action="store_true",
                    help="answer same-chain bandwidth queries through one "
-                        "compiled-plan sweep per chain (forces serial "
-                        "dispatch; plan routing is bypassed under --trace, "
-                        "which needs per-query spans)")
+                        "compiled-plan sweep per chain across the whole "
+                        "input (forces serial dispatch; pool workers "
+                        "plan-route within their own chunks; plan routing "
+                        "is bypassed under --trace, which needs per-query "
+                        "spans)")
     p.add_argument("--backend", choices=["numpy", "python"], default=None,
                    help="kernel backend (default: numpy when available)")
     p.add_argument("--trace", default=None, metavar="FILE",

@@ -3,15 +3,15 @@
 :class:`PartitionEngine` is the API production callers are expected to
 use: single queries go through :meth:`PartitionEngine.solve` (NumPy
 kernels + the prime-structure cache), and independent query streams go
-through :meth:`PartitionEngine.solve_many`, which fans them across a
-``concurrent.futures`` process pool in chunks while guaranteeing results
-come back **in input order** regardless of pool scheduling.
+through :meth:`PartitionEngine.solve_many`, which runs one loop either
+in-process or on contiguous chunks in a process pool; results come back
+**in input order** regardless of pool scheduling.
 
-Queries are plain data (:class:`PartitionQuery`) so they pickle cheaply
-to workers and serialize losslessly to JSONL — the wire format of the
-``repro batch`` CLI subcommand.  Failures are *per query*: an infeasible
-bound yields a :class:`QueryResult` with ``error`` set instead of
-poisoning the whole batch.
+Queries are plain data (:class:`PartitionQuery`) that serialize
+losslessly to JSONL — the wire format of the ``repro batch`` CLI
+subcommand, whose raw lines workers parse themselves.  Failures are
+*per query*: an infeasible bound yields a :class:`QueryResult` with
+``error`` set instead of poisoning the whole batch.
 
 Telemetry is *not* dropped at the process boundary: every result comes
 back with a small ``telemetry`` dict (wall-clock, cache-stats delta,
@@ -30,7 +30,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.feasibility import PartitioningError
 from repro.core.pipeline import partition_chain
@@ -91,24 +91,51 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
     def from_json(cls, line: str) -> "PartitionQuery":
         """Parse one JSONL query record.
 
-        ``alpha`` and ``beta`` must be JSON arrays: a string such as
-        ``"12"`` would otherwise be read character by character.
+        ``alpha`` and ``beta`` must be JSON arrays of numbers and
+        ``bound`` a number: ``float`` would otherwise read ``"12"``
+        character by character and accept ``"3"`` or ``true``.
         """
         record = json.loads(line)
-        alpha, beta = record["alpha"], record.get("beta", [])
-        for name, values in (("alpha", alpha), ("beta", beta)):
-            if not isinstance(values, list):
-                raise ValueError(
-                    f"{name} must be a JSON array of numbers, "
-                    f"got {type(values).__name__}"
-                )
-        return cls(
-            tuple(float(a) for a in alpha),
-            tuple(float(b) for b in beta),
-            float(record["bound"]),
-            record.get("objective", "bandwidth"),
-            record.get("tag"),
+        alpha = _numbers("alpha", record["alpha"])
+        beta = _numbers("beta", record.get("beta", []))
+        bound = record["bound"]
+        if type(bound) not in _NUMBER_TYPES:
+            raise ValueError(f"bound must be a number, got {type(bound).__name__}")
+        objective = record.get("objective", "bandwidth")
+        return cls(alpha, beta, float(bound), objective, record.get("tag"))
+
+
+#: What ``json.loads`` makes of a JSON number (``bool`` is not one).
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(name: str, values: Any) -> Tuple[float, ...]:
+    """``values`` as floats, if it is a JSON array of numbers."""
+    if not isinstance(values, list):
+        raise ValueError(
+            f"{name} must be a JSON array of numbers, got {type(values).__name__}"
         )
+    types = set(map(type, values))
+    if types <= _NUMBER_TYPES:
+        # ``float`` returns a float unchanged, so only ints need it.
+        return tuple(map(float, values) if int in types else values)
+    odd = min(t.__name__ for t in types - _NUMBER_TYPES)
+    raise ValueError(f"{name} must be a JSON array of numbers, got an element of type {odd}")
+
+
+def _parse_items(items: List[Any], tracer: Tracer) -> List[PartitionQuery]:
+    """``items`` as queries: raw ``(lineno, line)`` records are parsed in
+    one ``batch.parse`` span, stopping at the first (lowest) bad line."""
+    if not items or isinstance(items[0], PartitionQuery):
+        return items
+    queries = []
+    with tracer.span("batch.parse", lines=len(items)):
+        for lineno, line in items:
+            try:
+                queries.append(PartitionQuery.from_json(line))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"invalid query record on line {lineno}: {exc!s}") from exc
+    return queries
 
 
 @dataclass
@@ -345,27 +372,12 @@ class PartitionEngine:
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
-            if objective == "bandwidth":
-                return self.cache.solve(chain, bound, search=search)
-            if objective not in OBJECTIVES:
-                raise ValueError(
-                    f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
-                )
-            return partition_chain(chain, bound, objective)
+            return _solve_one(self, chain, bound, objective, None, search)
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
         ):
-            if objective == "bandwidth":
-                result = self.cache.solve(
-                    chain, bound, search=search, tracer=self.tracer
-                )
-            elif objective not in OBJECTIVES:
-                raise ValueError(
-                    f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
-                )
-            else:
-                result = partition_chain(chain, bound, objective)
+            result = _solve_one(self, chain, bound, objective, self.tracer, search)
         duration = time.perf_counter() - t0
         self.metrics.counter("engine.queries").inc()
         self.metrics.histogram("engine.query_latency_s").observe(duration)
@@ -467,7 +479,7 @@ class PartitionEngine:
     # ------------------------------------------------------------------
     def solve_many(
         self,
-        queries: Sequence[PartitionQuery],
+        queries: Union[Sequence[PartitionQuery], Sequence[Tuple[int, str]]],
         *,
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
@@ -475,137 +487,52 @@ class PartitionEngine:
     ) -> List[QueryResult]:
         """Solve independent queries, returning results in input order.
 
-        Queries are grouped by chain content (the fingerprint
-        equivalence) before dispatch.  Serially, bandwidth groups with
-        two or more feasible bounds route through the compiled-plan
-        cache (:meth:`solve_sweep`) — one structural pass per stability
-        interval instead of one per query; ``use_plans=False`` restores
-        strictly per-call solves.  With a process pool, grouping keeps
-        same-chain queries in the same ``executor.map`` chunk so workers
-        stop re-deriving structures their neighbors already built;
-        results are re-sorted to input order afterwards.
+        ``queries`` holds :class:`PartitionQuery` objects or the raw
+        ``(lineno, line)`` records :meth:`solve_jsonl` sends to a pool.
+        Everything runs through :func:`_solve_serial`: in-process, or
+        in a pool worker per contiguous chunk of ``chunksize`` items
+        (same-chain queries in a chunk share a plan).
+        ``use_plans=False`` restores strictly per-call solves.
         """
-        if max_workers is None:
-            max_workers = self.max_workers
-        queries = list(queries)
-        trace = self.tracer.enabled
-        payloads = [
-            (i, q.alpha, q.beta, q.bound, q.objective, q.tag, self.backend,
-             trace)
-            for i, q in enumerate(queries)
-        ]
+        items: List[Any] = list(queries)
+        workers = self._pool_width(max_workers, len(items))
         t0 = time.perf_counter()
-        if max_workers in (0, 1) or len(queries) <= 1:
-            workers = 0
-            results = self._solve_serial(payloads, use_plans)
+        if not workers:
+            results = _solve_serial(
+                self, _parse_items(items, self.tracer), use_plans,
+                self.tracer.enabled,
+            )
         else:
-            if max_workers is not None and max_workers < 0:
-                raise ValueError("max_workers must be >= 0")
-            workers = max_workers or os.cpu_count() or 1
-            # Fingerprint grouping: same-chain (and near-same-bound)
-            # queries land in the same chunk, hence the same worker's
-            # structure cache.
-            grouped = sorted(payloads, key=lambda p: (p[1], p[2], p[3]))
             if chunksize is None:
-                chunksize = max(1, len(payloads) // (4 * workers))
-            # Consume the pool lazily: each result streams to the live
-            # hub the moment its chunk lands, not at batch end.  The
-            # deterministic aggregate still folds in query-index order
-            # below — live events are telemetry, not a contract.
+                chunksize = max(1, len(items) // (4 * workers))
+            chunks = [
+                (start, items[start:start + chunksize], self.backend,
+                 self.tracer.enabled, use_plans)
+                for start in range(0, len(items), chunksize)
+            ]
+            # Chunks come back in input order, so the first raw-line
+            # error raised here is the lowest bad line.  Each result
+            # streams to the live hub as its chunk lands; the aggregate
+            # below still folds in query-index order.
             results = []
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                for result in pool.map(
-                    _solve_payload, grouped, chunksize=chunksize
-                ):
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for answers in pool.map(_solve_chunk, chunks):
                     if self.hub.enabled:
-                        self._publish_result(result)
-                    results.append(result)
-            results.sort(key=lambda r: r.index)
+                        for answer in answers:
+                            self._publish_result(answer)
+                    results.extend(answers)
         self._aggregate_batch(results, workers, time.perf_counter() - t0)
         return results
 
-    def _solve_serial(
-        self, payloads: List[tuple], use_plans: bool
-    ) -> List[QueryResult]:
-        """The serial batch path: plan-route bandwidth groups, per-call
-        everything else.
-
-        Bandwidth queries are grouped by chain content; groups with at
-        least two feasible finite bounds go through :meth:`solve_sweep`
-        (identical answers, shared structural work).  Infeasible or
-        non-finite bounds keep per-call error semantics, and any
-        group-level failure falls back to per-call solves so errors stay
-        per query.  Tracing disables plan routing — per-query spans are
-        the contract there.
-        """
-        if (
-            not use_plans
-            or self.backend != "numpy"
-            or not HAVE_NUMPY
-            or self.tracer.enabled
-        ):
-            answers = []
-            for p in payloads:
-                answer = _solve_payload(p, self)
-                if self.hub.enabled:
-                    self._publish_result(answer)
-                answers.append(answer)
-            return answers
-        groups: Dict[Tuple[tuple, tuple], List[tuple]] = {}
-        for p in payloads:
-            if p[4] == "bandwidth":
-                groups.setdefault((p[1], p[2]), []).append(p)
-        results: List[Optional[QueryResult]] = [None] * len(payloads)
-        for (alpha, beta), members in groups.items():
-            alpha_max = max(alpha) if alpha else 0.0
-            eligible = [
-                p
-                for p in members
-                if math.isfinite(p[3]) and 0.0 < p[3] and alpha_max <= p[3]
-            ]
-            if len(eligible) < 2:
-                continue
-            chain = Chain(alpha, beta)
-            t0 = time.perf_counter()
-            try:
-                weights, cuts = self.solve_sweep(
-                    chain, [p[3] for p in eligible], return_cuts=True
-                )
-            except (PartitioningError, ValueError):
-                # e.g. a verification failure: re-run per call so the
-                # error lands on the offending query only.
-                for p in eligible:
-                    results[p[0]] = _solve_payload(p, self)
-                    if self.hub.enabled:
-                        self._publish_result(results[p[0]])
-                continue
-            share = (time.perf_counter() - t0) / len(eligible)
-            verify = "REPRO_VERIFY" in os.environ
-            for p, weight, cut in zip(eligible, weights, cuts):
-                answer = QueryResult(
-                    p[0], p[5], p[4], p[3], list(cut), float(weight),
-                    len(cut) + 1,
-                )
-                answer.telemetry = {
-                    "duration_s": share,
-                    "plan_group": len(eligible),
-                }
-                if verify:
-                    answer.telemetry["optimality_gap"] = optimality_gap(
-                        float(weight),
-                        chain_bandwidth_lower_bound(chain, p[3]),
-                    )
-                results[p[0]] = answer
-                if self.hub.enabled:
-                    self._publish_result(answer)
-        out: List[QueryResult] = []
-        for p, result in zip(payloads, results):
-            if result is None:
-                result = _solve_payload(p, self)
-                if self.hub.enabled:
-                    self._publish_result(result)
-            out.append(result)
-        return out
+    def _pool_width(self, max_workers: Optional[int], size: int) -> int:
+        """Process-pool width for a batch of ``size``; 0 runs in-process."""
+        if max_workers is None:
+            max_workers = self.max_workers
+        if max_workers in (0, 1) or size <= 1:
+            return 0
+        if max_workers is not None and max_workers < 0:
+            raise ValueError("max_workers must be >= 0")
+        return max_workers or os.cpu_count() or 1
 
     def _publish_result(self, result: QueryResult) -> None:
         """Stream one finished query to the live hub (call sites guard
@@ -689,22 +616,20 @@ class PartitionEngine:
     ) -> List[QueryResult]:
         """Parse JSONL query records and solve them as one batch.
 
-        Raises :class:`ValueError` naming the offending line on a
-        malformed record; solver-level failures (e.g. infeasible
-        bounds) are still captured per-result, not raised.
+        Raises :class:`ValueError` naming the lowest offending line on
+        a malformed record; solver-level failures (e.g. infeasible
+        bounds) are still captured per-result, not raised.  With a
+        pool, each worker parses its own chunk of raw lines.
         """
-        queries = []
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                queries.append(PartitionQuery.from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"invalid query record on line {lineno}: {exc!s}"
-                ) from exc
+        records: List[Any] = [
+            (lineno, line) for lineno, line in enumerate(lines, 1) if line.strip()
+        ]
+        if not self._pool_width(max_workers, len(records)):
+            # In-process batches parse up front: the batch wall time
+            # (``engine.batch.wall_s``) then covers the solve alone.
+            records = _parse_items(records, self.tracer)
         return self.solve_many(
-            queries, max_workers=max_workers, chunksize=chunksize,
+            records, max_workers=max_workers, chunksize=chunksize,
             use_plans=use_plans,
         )
 
@@ -730,10 +655,11 @@ def _solve_one(
     bound: float,
     objective: str,
     tracer: Optional[Tracer],
+    search: str = "binary",
 ) -> ChainCutResult:
     """One query against an engine's cache, optionally under a tracer."""
     if objective == "bandwidth":
-        return engine.cache.solve(chain, bound, tracer=tracer)
+        return engine.cache.solve(chain, bound, search=search, tracer=tracer)
     if objective not in OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
@@ -741,43 +667,117 @@ def _solve_one(
     return partition_chain(chain, bound, objective)
 
 
-def _solve_payload(
-    payload: tuple, engine: Optional[PartitionEngine] = None
+def _solve_serial(
+    engine: PartitionEngine, queries: List[PartitionQuery], use_plans: bool, trace: bool
+) -> List[QueryResult]:
+    """The one batch loop: plan-route bandwidth groups, per-call
+    everything else.  Results are indexed by position in ``queries``.
+
+    Bandwidth queries are grouped by chain content; groups with at
+    least two feasible finite bounds go through
+    :meth:`PartitionEngine.solve_sweep` (identical answers, shared
+    structural work).  Infeasible or non-finite bounds keep per-call
+    error semantics, and a group-level failure leaves its queries to
+    per-call solves so errors stay per query.  ``trace`` disables plan
+    routing — per-query spans are the contract there.
+    """
+    routed = use_plans and engine.backend == "numpy" and HAVE_NUMPY and not trace
+    groups: Dict[Tuple[tuple, tuple], List[Tuple[int, PartitionQuery]]] = {}
+    for i, q in enumerate(queries):
+        if routed and q.objective == "bandwidth":
+            groups.setdefault((q.alpha, q.beta), []).append((i, q))
+    results: List[Optional[QueryResult]] = [None] * len(queries)
+    verify = "REPRO_VERIFY" in os.environ
+    for (alpha, beta), members in groups.items():
+        alpha_max = max(alpha) if alpha else 0.0
+        eligible = [
+            (i, q)
+            for i, q in members
+            if math.isfinite(q.bound) and 0.0 < q.bound and alpha_max <= q.bound
+        ]
+        if len(eligible) < 2:
+            continue
+        chain = Chain(alpha, beta)
+        t0 = time.perf_counter()
+        try:
+            weights, cuts = engine.solve_sweep(
+                chain, [q.bound for _, q in eligible], return_cuts=True
+            )
+        except (PartitioningError, ValueError):
+            # e.g. a verification failure: the per-call loop below
+            # re-runs the group so the error lands on one query only.
+            engine.metrics.counter("engine.plan.group_fallbacks").inc()
+            continue
+        share = (time.perf_counter() - t0) / len(eligible)
+        for (i, q), weight, cut in zip(eligible, weights, cuts):
+            answer = QueryResult(
+                i, q.tag, q.objective, q.bound, list(cut), float(weight),
+                len(cut) + 1,
+            )
+            answer.telemetry = {"duration_s": share, "plan_group": len(eligible)}
+            if verify:
+                answer.telemetry["optimality_gap"] = optimality_gap(
+                    float(weight), chain_bandwidth_lower_bound(chain, q.bound)
+                )
+            results[i] = answer
+            if engine.hub.enabled:
+                engine._publish_result(answer)
+    out: List[QueryResult] = []
+    for i, (q, result) in enumerate(zip(queries, results)):
+        if result is None:
+            result = _solve_query(i, q, engine, trace)
+            if engine.hub.enabled:
+                engine._publish_result(result)
+        out.append(result)
+    return out
+
+
+def _solve_chunk(chunk: tuple) -> List[QueryResult]:
+    """Pool worker entry: parse one contiguous chunk, run
+    :func:`_solve_serial` on it and number the results from ``start``.
+    A traced chunk's ``batch.parse`` span rides on its first result."""
+    start, items, backend, trace, use_plans = chunk
+    tracer = Tracer() if trace else NULL_TRACER
+    queries = _parse_items(items, tracer)
+    results = _solve_serial(_worker_engine(backend), queries, use_plans, trace)
+    for result in results:
+        result.index += start
+    telemetry = results[0].telemetry
+    if trace and telemetry is not None:
+        telemetry["spans"][:0] = tracer.records()
+    return results
+
+
+def _solve_query(
+    index: int, query: PartitionQuery, engine: PartitionEngine, trace: bool
 ) -> QueryResult:
-    """Solve one pickled query; never raises (errors land in the result).
+    """Solve one query; never raises (errors land in the result).
 
     Always measures wall-clock and the cache-stats delta (a handful of
-    int reads — noise next to pickling); when the batch was submitted
-    with tracing on, also runs the query under a fresh per-query tracer
-    and serializes its spans into ``telemetry["spans"]``, which is how
-    worker-process spans cross back to the parent engine.
+    int reads); with ``trace``, also runs the query under a fresh
+    per-query tracer and serializes its spans into
+    ``telemetry["spans"]``, which is how worker-process spans cross
+    back to the parent engine.
     """
-    index, alpha, beta, bound, objective, tag, backend, trace = payload
-    if engine is None:
-        engine = _worker_engine(backend)
+    objective, bound = query.objective, query.bound
     stats = engine.cache.stats
     before = (stats.hits, stats.interval_hits, stats.misses, stats.evictions)
     tracer = Tracer() if trace else None
     t0 = time.perf_counter()
     gap: Optional[float] = None
     try:
-        chain = Chain(alpha, beta)
+        chain = query.chain()
         result = _solve_one(engine, chain, bound, objective, tracer)
         answer = QueryResult(
-            index,
-            tag,
-            objective,
-            bound,
-            list(result.cut_indices),
-            result.weight,
-            result.num_components,
+            index, query.tag, objective, bound, list(result.cut_indices),
+            result.weight, result.num_components,
         )
         if "REPRO_VERIFY" in os.environ and objective == "bandwidth":
             gap = optimality_gap(
                 result.weight, chain_bandwidth_lower_bound(chain, bound)
             )
     except (PartitioningError, ValueError) as exc:  # repro-lint: disable=REPRO024 error is captured into the QueryResult payload and published downstream
-        answer = QueryResult(index, tag, objective, bound, error=str(exc))
+        answer = QueryResult(index, query.tag, objective, bound, error=str(exc))
     duration = time.perf_counter() - t0
     stats = engine.cache.stats  # clear() swaps the object; re-read
     telemetry: Dict[str, Any] = {

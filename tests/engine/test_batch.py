@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.bandwidth import bandwidth_min
+from repro.core.feasibility import PartitioningError
 from repro.core.inverse import chain_pareto_frontier, partition_chain_for_processors
 from repro.core.pipeline import partition_chain
 from repro.engine import OBJECTIVES, PartitionEngine, PartitionQuery
@@ -195,9 +196,16 @@ class TestBatchCli:
             {"alpha": [1, 2], "beta": "3", "bound": 5},
             {"alpha": 3, "beta": [], "bound": 5},
             {"alpha": {"0": 1}, "bound": 5},
+            # Strings and booleans used to be coerced by float().
+            {"alpha": ["3", "2"], "beta": [1], "bound": 5},
+            {"alpha": [True, 2], "beta": [1], "bound": 5},
+            {"alpha": [3, 2], "beta": [1], "bound": "5"},
+            # Too large for a float: used to escape as an OverflowError.
+            {"alpha": [1, 10**400], "beta": [1], "bound": 5},
+            {"alpha": [1, 2], "beta": [1], "bound": 10**400},
         ],
     )
-    def test_non_array_weights_are_invalid_records(self, tmp_path, record):
+    def test_non_array_weights_are_invalid_records(self, tmp_path, capsys, record):
         # "alpha": "12" used to be read as the weights (1.0, 2.0).
         good = {"alpha": [1, 1], "beta": [1], "bound": 2}
         inp = tmp_path / "q.jsonl"
@@ -205,7 +213,13 @@ class TestBatchCli:
         inp.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="invalid query record on line 2"):
             PartitionEngine().solve_jsonl(inp.read_text().splitlines())
-        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 2
+        args = ["batch", "--input", str(inp), "--output", str(out)]
+        assert main(args) == 2
+        serial_err = capsys.readouterr().err
+        # The pool parses in its workers, with the same contract.
+        assert main(args + ["--workers", "2", "--chunksize", "1"]) == 2
+        assert capsys.readouterr().err == serial_err
+        assert not out.exists()
 
     def test_output_is_strict_json(self, tmp_path):
         def reject(constant):
@@ -246,6 +260,77 @@ class TestBatchCli:
             json.dumps({"alpha": [1, 1, 1], "beta": [1, 1], "bound": 2}) + "\n"
         )
         assert main(["batch", "--input", str(inp), "--output", str(out)]) == 0
+
+
+class TestPooledJsonl:
+    """``solve_jsonl`` on a pool: workers parse their own raw lines."""
+
+    @staticmethod
+    def mixed_lines():
+        chain = random_chain(30, rng=300)
+        other = random_chain(24, rng=301)
+        wmax = chain.max_vertex_weight()
+
+        def line(c, bound, objective="bandwidth", tag=None):
+            return json.dumps({
+                "alpha": c.alpha_array.tolist(), "beta": c.beta_array.tolist(),
+                "bound": bound, "objective": objective, "tag": tag,
+            })
+
+        return [
+            line(chain, 2.0 * wmax, tag="a"),
+            "",
+            line(chain, 3.0 * wmax, tag="repeat-chain"),
+            line(other, 2.5 * other.max_vertex_weight(), "processors", "tree"),
+            "   ",
+            line(chain, 0.5 * wmax, tag="infeasible"),
+            line(chain, 2.0 * wmax, tag="repeat-query"),
+            '{"alpha": [1, 2], "beta": [1], "bound": 1e400, "tag": "inf"}',
+            line(other, 2.0 * other.max_vertex_weight(), "bottleneck", "tree-2"),
+            line(chain, 4.0 * wmax, tag="c"),
+            line(other, 3.0 * other.max_vertex_weight(), tag="d"),
+        ]
+
+    @pytest.mark.parametrize("chunksize", [1, 3, 100])
+    def test_pooled_jsonl_matches_serial_bytes(self, chunksize):
+        lines = self.mixed_lines()
+        serial = PartitionEngine().solve_jsonl(lines, max_workers=0)
+        pooled = PartitionEngine().solve_jsonl(
+            lines, max_workers=2, chunksize=chunksize
+        )
+        assert [r.ok for r in serial].count(False) == 2
+        assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_lowest_bad_line_is_reported(self, workers):
+        lines = self.mixed_lines()
+        lines[3] = '{"alpha": [1, 2], "beta": [1]}'
+        lines[9] = "not json"
+        with pytest.raises(ValueError) as excinfo:
+            PartitionEngine().solve_jsonl(lines, max_workers=workers, chunksize=2)
+        assert str(excinfo.value) == "invalid query record on line 4: 'bound'"
+
+    def test_traced_pool_ships_parse_spans_per_chunk(self):
+        from repro.observability import Tracer
+
+        lines = self.mixed_lines()
+        serial = PartitionEngine(tracer=Tracer())
+        serial.solve_jsonl(lines, max_workers=0)
+        pooled = PartitionEngine(tracer=Tracer())
+        pooled.solve_jsonl(lines, max_workers=2, chunksize=3)
+        # Serially, parse is one span in the engine's own tracer.
+        parse = serial.tracer.find("batch.parse")
+        assert parse is not None and parse.attrs["lines"] == 9
+        records = pooled.last_batch_stats.trace_records
+        parses = [r for r in records if r["path"] == "batch.parse"]
+        assert [r["attrs"]["lines"] for r in parses] == [3, 3, 3]
+        assert [r["query_index"] for r in parses] == [0, 3, 6]
+        # Every bandwidth query keeps its per-query span set (the
+        # shape below the root depends on each process's cache).
+        def roots(records):
+            return [r["query_index"] for r in records if r["path"] == "cache_solve"]
+        assert roots(records) == roots(serial.last_batch_stats.trace_records)
+        assert roots(records) == [0, 1, 3, 4, 5, 7, 8]
 
 
 class TestPlanGrouping:
@@ -293,8 +378,7 @@ class TestPlanGrouping:
         assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
 
     def test_pool_grouping_preserves_input_order(self):
-        # The pool path submits queries sorted by chain payload so one
-        # worker's cache sees a chain's queries back to back; results
+        # Each worker plan-routes its own contiguous chunk; results
         # must still come home in input order.
         queries = self.make_grouped_queries(num=9, chains=3)
         parallel = PartitionEngine().solve_many(
@@ -303,6 +387,20 @@ class TestPlanGrouping:
         serial = PartitionEngine().solve_many(queries, max_workers=0)
         assert [r.index for r in parallel] == list(range(len(queries)))
         assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+
+    def test_failed_plan_sweep_falls_back_per_call(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise PartitioningError("injected sweep failure")
+
+        queries = self.make_grouped_queries(chains=3)
+        direct = PartitionEngine().solve_many(
+            queries, max_workers=0, use_plans=False
+        )
+        monkeypatch.setattr(PartitionEngine, "solve_sweep", broken)
+        engine = PartitionEngine()
+        routed = engine.solve_many(queries, max_workers=0)
+        assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
+        assert engine.metrics.counter("engine.plan.group_fallbacks").value == 3
 
     def test_single_query_groups_stay_on_per_call_path(self):
         engine = PartitionEngine()

@@ -237,17 +237,12 @@ class TestSeededRegressions:
 
     def test_lambda_capturing_tracer_caught(self):
         # Mutation (c): solve_many submits a closure over a live Tracer
-        # instead of the module-level payload worker.
+        # instead of the module-level chunk worker.
         source = self._source()
         pool_line = (
-            "            with ProcessPoolExecutor(max_workers=max_workers)"
-            " as pool:"
+            "            with ProcessPoolExecutor(max_workers=workers) as pool:"
         )
-        map_call = (
-            "pool.map(\n"
-            "                    _solve_payload, grouped, chunksize=chunksize\n"
-            "                )"
-        )
+        map_call = "pool.map(_solve_chunk, chunks)"
         assert pool_line in source and map_call in source
         source = source.replace(
             pool_line,
@@ -255,7 +250,7 @@ class TestSeededRegressions:
             "            tracer = Tracer()\n" + pool_line,
         )
         source = source.replace(
-            map_call, "pool.map(lambda p: _solve_payload(p, tracer), grouped)"
+            map_call, "pool.map(lambda c: _solve_chunk(c, tracer), chunks)"
         )
         findings = flow_check_source(source, BATCH)
         assert "REPRO007" in [f.code for f in findings]
