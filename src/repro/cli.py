@@ -985,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "plan-route within their own chunks; plan routing "
                         "is bypassed under --trace, which needs per-query "
                         "spans)")
-    p.add_argument("--backend", choices=["numpy", "python"], default=None,
-                   help="kernel backend (default: numpy when available)")
+    p.add_argument("--backend", choices=["numpy", "python"], default="numpy",
+                   help="kernel backend (default: numpy)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="trace the batch and write span/metric JSONL to FILE")
     p.add_argument("--verify", action="store_true",

@@ -10,12 +10,13 @@ Layers on top of :mod:`repro.core`:
   C pass (prime windows, edge reduction, TEMP_S sweep), built on first
   use and loaded with ctypes; the cache's miss path uses it when a C
   compiler is available;
-- :mod:`repro.engine.cache` — content-fingerprinted prime-structure and
-  result caching with monotone warm-start for sorted-``K`` sweeps, plus
-  the compiled-plan LRU (:class:`PlanCache`);
 - :mod:`repro.engine.plan` — :class:`CompiledChainPlan`: freeze one
-  chain's preprocessing, answer whole vectors of bound/β queries in
-  batched sweeps (``compile_chain``/``solve_bounds``/``solve_beta_sweep``);
+  chain's preprocessing and memoize its answers per stability interval;
+  single bounds, whole vectors of bounds and β sweeps share that memo
+  (``compile_chain``/``solve_bound``/``solve_bounds``/``solve_beta_sweep``);
+- :mod:`repro.engine.cache` — the content-fingerprinted plan LRU
+  (:class:`PlanCache`) and the single-query front end over it
+  (:class:`PrimeStructureCache`);
 - :mod:`repro.engine.batch` — :class:`PartitionEngine` with
   ``solve``/``solve_many``/``solve_sweep`` (process-pool fan-out,
   fingerprint-grouped dispatch, deterministic result ordering) backing
@@ -30,14 +31,12 @@ from repro.engine.batch import (
     QueryResult,
 )
 from repro.engine.cache import CacheStats, PlanCache, PrimeStructureCache
-from repro.engine.kernels import HAVE_NUMPY
 from repro.engine.plan import CompiledChainPlan, compile_chain
 
 __all__ = [
     "BatchStats",
     "CacheStats",
     "CompiledChainPlan",
-    "HAVE_NUMPY",
     "OBJECTIVES",
     "PartitionEngine",
     "PartitionQuery",

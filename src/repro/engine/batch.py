@@ -1,11 +1,11 @@
 """The batched, cache-aware, optionally parallel partitioning front door.
 
 :class:`PartitionEngine` is the API production callers are expected to
-use: single queries go through :meth:`PartitionEngine.solve` (NumPy
-kernels + the prime-structure cache), and independent query streams go
-through :meth:`PartitionEngine.solve_many`, which runs one loop either
-in-process or on contiguous chunks in a process pool; results come back
-**in input order** regardless of pool scheduling.
+use: single queries go through :meth:`PartitionEngine.solve` (the
+chain's plan memo over the native or NumPy kernels), and independent
+query streams go through :meth:`PartitionEngine.solve_many`, which runs
+one loop either in-process or on contiguous chunks in a process pool;
+results come back **in input order** regardless of pool scheduling.
 
 Queries are plain data (:class:`PartitionQuery`) that serialize
 losslessly to JSONL — the wire format of the ``repro batch`` CLI
@@ -34,8 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.feasibility import PartitioningError
 from repro.core.pipeline import partition_chain
-from repro.engine.cache import CacheStats, PlanCache, PrimeStructureCache
-from repro.engine.kernels import HAVE_NUMPY
+from repro.engine.cache import CacheStats, PrimeStructureCache
 from repro.graphs.chain import Chain
 from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
 from repro.instrumentation.counters import OpCounter
@@ -291,10 +290,12 @@ class PartitionEngine:
     Parameters
     ----------
     backend:
-        ``"numpy"`` (default when NumPy is importable) or ``"python"``.
+        ``"numpy"`` (default) or ``"python"``.
     cache:
         A :class:`PrimeStructureCache` to share with other engines, or
-        ``None`` to own a private one.
+        ``None`` to own a private one.  Its plan LRU (``cache.plans``,
+        also :attr:`plans`) holds the per-chain memo that single queries
+        and sweeps share.
     max_workers:
         Default process-pool width for :meth:`solve_many`; ``0``/``1``
         solves serially in-process (still cached).  ``None`` lets the
@@ -331,22 +332,19 @@ class PartitionEngine:
 
     def __init__(
         self,
-        backend: Optional[str] = None,
+        backend: str = "numpy",
         cache: Optional[PrimeStructureCache] = None,
-        plans: Optional[PlanCache] = None,
         max_workers: Optional[int] = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         hub: Optional[HubLike] = None,
     ) -> None:
-        if backend is None:
-            backend = "numpy" if HAVE_NUMPY else "python"
         if backend not in ("python", "numpy"):
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.hub = hub if hub is not None else NULL_HUB
         self.cache = cache or PrimeStructureCache(backend=backend, hub=self.hub)
-        self.plans = plans or PlanCache()
+        self.plans = self.cache.plans
         self.max_workers = max_workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -360,24 +358,22 @@ class PartitionEngine:
         chain: Chain,
         bound: float,
         objective: str = "bandwidth",
-        *,
-        search: str = "binary",
     ) -> ChainCutResult:
         """Solve one query through the fast path.
 
-        ``"bandwidth"`` (Algorithm 4.1) runs through the prime-structure
-        cache with the configured kernels and ``collect_stats`` off; the
+        ``"bandwidth"`` (Algorithm 4.1) runs through the chain's plan
+        memo with the configured kernels and ``collect_stats`` off; the
         other objectives delegate to
         :func:`repro.core.pipeline.partition_chain` (tree algorithms,
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
-            return _solve_one(self, chain, bound, objective, None, search)
+            return _solve_one(self, chain, bound, objective, None)
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
         ):
-            result = _solve_one(self, chain, bound, objective, self.tracer, search)
+            result = _solve_one(self, chain, bound, objective, self.tracer)
         duration = time.perf_counter() - t0
         self.metrics.counter("engine.queries").inc()
         self.metrics.histogram("engine.query_latency_s").observe(duration)
@@ -421,24 +417,13 @@ class PartitionEngine:
         """Optimal bandwidth for every bound in ``bounds``, one batched pass.
 
         Routes through a :class:`~repro.engine.plan.CompiledChainPlan`
-        cached by chain fingerprint in :attr:`plans`, so repeated sweeps
-        over the same chain share frozen arrays and built structures.
-        Returns the per-bound weights (a float64 array on the NumPy
-        backend, a list on the Python fallback), or ``(weights, cuts)``
-        with ``return_cuts=True``.  Answers are bit-identical to
-        per-call :meth:`solve`; under ``REPRO_VERIFY=1`` every element
-        is certified against the pure-Python solver.
-
-        On ``backend="python"`` (or when NumPy is missing) the sweep
-        degrades to per-call solves through the structure cache — same
-        answers, no compiled fast path.
+        cached by chain fingerprint in :attr:`plans`, so sweeps and
+        single queries over the same chain share frozen arrays and built
+        structures.  Returns the per-bound weights as a float64 array, or
+        ``(weights, cuts)`` with ``return_cuts=True``.  Answers are
+        bit-identical to per-call :meth:`solve`; under ``REPRO_VERIFY=1``
+        every element is certified against the pure-Python solver.
         """
-        if self.backend != "numpy" or not HAVE_NUMPY:
-            results = [self.solve(chain, float(b)) for b in bounds]
-            weights = [r.weight for r in results]
-            if return_cuts:
-                return weights, [list(r.cut_indices) for r in results]
-            return weights
         tracer = self.tracer if self.tracer.enabled else None
         plan = self.plans.get(
             chain, tracer=tracer, metrics=self.metrics, hub=self.hub
@@ -655,11 +640,10 @@ def _solve_one(
     bound: float,
     objective: str,
     tracer: Optional[Tracer],
-    search: str = "binary",
 ) -> ChainCutResult:
     """One query against an engine's cache, optionally under a tracer."""
     if objective == "bandwidth":
-        return engine.cache.solve(chain, bound, search=search, tracer=tracer)
+        return engine.cache.solve(chain, bound, tracer=tracer)
     if objective not in OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
@@ -681,7 +665,7 @@ def _solve_serial(
     per-call solves so errors stay per query.  ``trace`` disables plan
     routing — per-query spans are the contract there.
     """
-    routed = use_plans and engine.backend == "numpy" and HAVE_NUMPY and not trace
+    routed = use_plans and engine.backend == "numpy" and not trace
     groups: Dict[Tuple[tuple, tuple], List[Tuple[int, PartitionQuery]]] = {}
     for i, q in enumerate(queries):
         if routed and q.objective == "bandwidth":

@@ -33,28 +33,13 @@ edges, so the ``O(n)`` part of a query never builds a Python object.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.core.feasibility import InfeasibleBoundError, check_bound_domain
 from repro.graphs.chain import Chain
 from repro.verify.contracts import complexity
-
-
-def require_numpy() -> None:
-    """Raise a helpful error when the NumPy fast path is unavailable."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "backend='numpy' requires NumPy; install it or use "
-            "backend='python'"
-        )
 
 
 def prefix_array(chain: Chain) -> "np.ndarray":
@@ -394,7 +379,6 @@ def compute_prime_structure_numpy(
             span.set("p", structure.p)
             span.set("r", structure.r)
         return structure
-    require_numpy()
     prefix, beta = prefix_array(chain), beta_array(chain)
     # Take the max from the authoritative per-task weights: differencing
     # the prefix array can be off by an ulp, which must not change
@@ -614,23 +598,25 @@ def sweep_min_weight(
     return last_w
 
 
-@complexity("n + p log q")
-def bandwidth_sweep(structure: Any) -> Tuple[List[int], float]:
-    """Run the fast sweep over a prime structure (array-backed or not).
+def edge_columns(
+    structure: Any,
+) -> Tuple[List[int], List[float], List[int], List[int]]:
+    """A prime structure's reduced edges as the four flat lists
+    :func:`sweep_min_cut` reads.
 
     Accepts either an :class:`ArrayPrimeStructure` (columns converted
     via ``.tolist()`` — no per-edge objects ever built) or the reference
     :class:`~repro.core.prime_subpaths.PrimeStructure`.
     """
     if isinstance(structure, ArrayPrimeStructure):
-        return sweep_min_cut(
+        return (
             structure.edge_index.tolist(),
             structure.edge_weight.tolist(),
             structure.edge_first.tolist(),
             structure.edge_last.tolist(),
         )
     edges = structure.edges
-    return sweep_min_cut(
+    return (
         [e.index for e in edges],
         [e.weight for e in edges],
         [e.first_prime for e in edges],
@@ -638,12 +624,17 @@ def bandwidth_sweep(structure: Any) -> Tuple[List[int], float]:
     )
 
 
+@complexity("n + p log q")
+def bandwidth_sweep(structure: Any) -> Tuple[List[int], float]:
+    """Run the fast sweep over a prime structure (array-backed or not)."""
+    return sweep_min_cut(*edge_columns(structure))
+
+
 def feasible_components(
     prefix: "np.ndarray", cut_indices: Sequence[int], bound: float
 ) -> bool:
     """Vectorized feasibility check: every block induced by the cut
     weighs at most ``bound`` (subtraction-form comparisons, as always)."""
-    require_numpy()
     n = prefix.shape[0] - 1
     cut = np.asarray(sorted(set(int(i) for i in cut_indices)), dtype=np.int64)
     los = np.concatenate(([0], cut + 1))

@@ -1,22 +1,28 @@
-"""Compiled chain plans: answer many queries on one chain in one pass.
+"""Compiled chain plans: the engine's per-chain memo.
 
 Algorithm 4.1 splits a query into an ``O(n)`` structural phase (prime
 subpaths, membership intervals, the non-redundant edge reduction) and an
-``O(p log q)`` TEMP_S sweep.  The engine cache (PR 1) amortizes the
-structural phase *per bound*; this module amortizes the whole pipeline
-*per chain*: :func:`compile_chain` freezes the chain into contiguous
-arrays once (prefix weights, β table), and the resulting
-:class:`CompiledChainPlan` answers whole vectors of queries —
+``O(p log q)`` TEMP_S sweep.  The answer depends on the bound ``K`` only
+through the prime structure, and a structure built at ``K`` stays valid
+for every ``K' ∈ [K, min prime weight)``.  :func:`compile_chain` freezes
+a chain's arrays once (prefix weights, β table), and the resulting
+:class:`CompiledChainPlan` memoizes one answer per such *stability
+interval* — the only memo the engine keeps:
 
+- :meth:`CompiledChainPlan.solve_bound` answers one bound, for
+  :class:`repro.engine.cache.PrimeStructureCache` (``engine.solve``).  A
+  miss runs the native fused kernel (:mod:`repro.engine.native`) when it
+  loads, otherwise the NumPy prime structure plus
+  :func:`~repro.engine.kernels.sweep_min_cut`.
 - :meth:`CompiledChainPlan.solve_bounds` takes an array of bounds ``ks``
   and returns the optimal bandwidth for every one.  Bounds are sorted
-  and grouped by *stability interval* (a structure built at ``K`` stays
-  valid for every ``K' ∈ [K, min prime weight)`` — the PR 1 warm-start
-  invariant), each distinct structure is built once with the batched
-  kernels of :mod:`repro.engine.kernels`, and the TEMP_S transitions run
-  through :func:`~repro.engine.kernels.sweep_min_weight`, the
-  arena-free form of the sweep.  No per-query Python dispatch survives:
-  one argsort, one group walk, one sweep per *distinct structure*.
+  and grouped by stability interval; each distinct structure missing
+  from the memo is built once with the batched kernels of
+  :mod:`repro.engine.kernels` and swept with
+  :func:`~repro.engine.kernels.sweep_min_weight`, the arena-free form of
+  the sweep.  One argsort, one group walk, one sweep per *distinct
+  structure*.  Cuts are reconstructed on demand by the single-bound
+  routine.
 - :meth:`CompiledChainPlan.solve_beta_sweep` answers β-perturbation
   studies: ``Q`` alternative edge-weight rows against one bound.  The
   prime windows and edge-membership classes depend only on ``alpha``,
@@ -25,7 +31,11 @@ arrays once (prefix weights, β table), and the resulting
   over the query axis — the one place the TEMP_S recurrence is a
   literal batched array program.
 
-Exactness is non-negotiable: both sweeps evaluate the same float
+Single queries and sweeps share the memo: a bound one of them answered
+is served to the other without a rebuild.  The memo is guarded by the
+plan's ``_lock``.
+
+Exactness is non-negotiable: every path evaluates the same float
 expressions in the same order as the scalar reference, so results are
 bit-identical to per-call :func:`repro.core.bandwidth.bandwidth_min`
 (the property suite and the ``REPRO_VERIFY=1`` cross-check below hold
@@ -36,36 +46,39 @@ solver.
 
 Plans are cached per chain fingerprint by
 :class:`repro.engine.cache.PlanCache` and reached through
-:meth:`repro.engine.batch.PartitionEngine.solve_sweep`.
+:meth:`repro.engine.batch.PartitionEngine.solve` and
+:meth:`~repro.engine.batch.PartitionEngine.solve_sweep`.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right, insort
+import threading
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.bandwidth import ChainCutResult, bandwidth_min
+from repro.core.prime_subpaths import compute_prime_structure
+from repro.engine import kernels
 from repro.engine.kernels import (
     beta_array,
+    edge_columns,
     membership_intervals,
     prefix_array,
     prime_windows,
     reduced_class_arrays,
-    reduced_edge_arrays,
-    require_numpy,
     sweep_min_cut,
     sweep_min_weight,
     validate_bound_array,
 )
 from repro.graphs.chain import Chain
 from repro.observability.live import NULL_HUB
+from repro.observability.spans import NULL_TRACER
 from repro.verify.contracts import complexity
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None  # type: ignore[assignment]
+from repro.verify.markers import concurrent_entry, shared_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.observability import MetricsRegistry, Tracer
@@ -85,22 +98,25 @@ class _FrozenStructure:
     ``valid_from`` is the bound the structure was built at and
     ``valid_until`` its minimum prime weight: any bound in
     ``[valid_from, valid_until)`` yields the identical structure, hence
-    the identical optimal cut (the PR 1 stability-interval invariant).
-    The optimal *weight* is computed eagerly (it is what sweeps serve);
-    the cut is reconstructed on first demand and memoized.
+    the identical optimal cut (the stability-interval invariant).  A
+    sweep build computes only the optimal *weight*; ``result`` (the cut)
+    is then reconstructed on first demand and memoized.  A single-bound
+    miss fills both at once.
     """
 
-    __slots__ = ("valid_from", "valid_until", "weight", "cut", "p", "r")
+    __slots__ = ("valid_from", "valid_until", "weight", "result")
 
     def __init__(
-        self, valid_from: float, valid_until: float, weight: float, p: int, r: int
+        self,
+        valid_from: float,
+        valid_until: float,
+        weight: float,
+        result: Optional[ChainCutResult] = None,
     ) -> None:
         self.valid_from = valid_from
         self.valid_until = valid_until
         self.weight = weight
-        self.cut: Optional[List[int]] = None
-        self.p = p
-        self.r = r
+        self.result = result
 
     def covers(self, bound: float) -> bool:
         return self.valid_from <= bound < self.valid_until
@@ -108,24 +124,28 @@ class _FrozenStructure:
     def __repr__(self) -> str:
         return (
             f"_FrozenStructure([{self.valid_from:g}, {self.valid_until:g}), "
-            f"weight={self.weight:g}, p={self.p}, r={self.r})"
+            f"weight={self.weight:g})"
         )
 
 
+@shared_state(lock="_lock")
 class CompiledChainPlan:
-    """A chain compiled for multi-query solving; see the module docstring.
+    """A chain compiled for solving; see the module docstring.
 
-    Build one with :func:`compile_chain` (or, preferably, through
-    :meth:`repro.engine.batch.PartitionEngine.solve_sweep`, which caches
-    plans by chain fingerprint).  A plan owns the chain's contiguous
-    arrays plus a memo of frozen structures keyed by stability interval,
-    so repeated sweeps over overlapping bound ranges pay the structural
-    phase once per *interval*, not once per call.
+    Build one with :func:`compile_chain` (or, preferably, through a
+    :class:`repro.engine.batch.PartitionEngine`, which caches plans by
+    chain fingerprint).  A plan owns the chain's contiguous arrays plus
+    a memo of frozen structures keyed by stability interval, so repeated
+    queries over overlapping bound ranges pay the structural phase once
+    per *interval*, not once per call.
+
+    **Thread safety.**  Single queries and sweeps from different threads
+    may drive one plan: every read and write of the memo happens under
+    the plan's reentrant ``_lock`` (``@shared_state``).
     """
 
     __slots__ = (
         "chain",
-        "backend",
         "tracer",
         "metrics",
         "hub",
@@ -135,25 +155,19 @@ class CompiledChainPlan:
         "_alpha_max",
         "_memo",
         "_starts",
+        "_lock",
     )
 
     def __init__(
         self,
         chain: Chain,
         *,
-        backend: str = "numpy",
         tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         hub: Any = None,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ) -> None:
-        require_numpy()
-        if backend not in ("numpy",):
-            raise ValueError(
-                f"compiled plans require the array backend, got {backend!r}"
-            )
         self.chain = chain
-        self.backend = backend
         self.tracer = tracer
         self.metrics = metrics
         self.hub = hub or NULL_HUB
@@ -161,11 +175,12 @@ class CompiledChainPlan:
         self._prefix = prefix_array(chain)
         self._beta = beta_array(chain)
         self._alpha_max = chain.max_vertex_weight()
-        # Frozen structures by stability interval.  Intervals are built
-        # only on lookup misses, so they are pairwise disjoint and the
-        # sorted-start bisect below has a unique candidate per bound.
+        # Frozen structures by stability interval.  The intervals are
+        # pairwise disjoint (see _remember), so the sorted-start bisect
+        # below has a unique candidate per bound.
         self._memo: "OrderedDict[float, _FrozenStructure]" = OrderedDict()
         self._starts: List[float] = []
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -192,56 +207,54 @@ class CompiledChainPlan:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    def _windows(self, bound: float) -> Tuple["np.ndarray", "np.ndarray", float]:
-        """Prime windows for ``bound`` plus the stability-interval end."""
+    def _solve_at(
+        self, bound: float, backend: str, tracer: Optional["Tracer"]
+    ) -> Tuple[ChainCutResult, float]:
+        """Algorithm 4.1 at one bound, outside the memo: the optimal cut
+        and the stability-interval end.
+
+        The native fused kernel serves it when it loads.  Otherwise the
+        NumPy prime structure — or, on ``backend="python"``, the
+        ``repro.core`` reference structure — feeds
+        :func:`~repro.engine.kernels.sweep_min_cut`.
+        """
+        from repro.engine import native
+
+        if backend == "numpy" and native.load() is not None:
+            active = tracer if tracer is not None else NULL_TRACER
+            with active.span(
+                "kernel_dispatch", kernel="native_fused", n=self.chain.num_tasks
+            ) as span:
+                fused = native.fused_solve(self._prefix, self._beta, bound)
+                if fused is not None:
+                    span.set("p", fused.p)
+                    span.set("r", fused.r)
+            if fused is not None:
+                result = ChainCutResult(self.chain, fused.cut, fused.weight)
+                return result, fused.min_prime_weight
+        if backend == "numpy":
+            structure = kernels.compute_prime_structure_numpy(
+                self.chain, bound, tracer=tracer
+            )
+        else:
+            structure = compute_prime_structure(self.chain, bound, tracer=tracer)
+        cut, weight = sweep_min_cut(*edge_columns(structure))
+        return ChainCutResult(self.chain, cut, weight), structure.min_prime_weight()
+
+    def _build(self, bound: float) -> _FrozenStructure:
+        """Build, memoize and return the weight-only frozen structure at
+        ``bound`` (a sweep miss)."""
         prefix = self._prefix
         first_tasks, last_tasks = prime_windows(prefix, bound)
         if first_tasks.shape[0] == 0:
-            return first_tasks, last_tasks, float("inf")
-        prime_weights = prefix[last_tasks + 1] - prefix[first_tasks]
-        return first_tasks, last_tasks, float(prime_weights.min())
-
-    def _build_arrays(
-        self, bound: float
-    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", int, float]:
-        """The reduced-edge columns for ``bound``, plus ``p`` and the
-        stability-interval end — the cut-capable form.
-
-        Exactly the pipeline of
-        :func:`~repro.engine.kernels.compute_prime_structure_numpy`,
-        inlined against the plan's frozen ``prefix``/``beta`` arrays so
-        a 100-bound sweep never re-validates or re-converts anything.
-        Only cut reconstruction needs the representative edge indices;
-        the weight path in :meth:`_build` uses the cheaper
-        :func:`~repro.engine.kernels.reduced_class_arrays`.
-        """
-        first_tasks, last_tasks, valid_until = self._windows(bound)
-        p = int(first_tasks.shape[0])
-        if p == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty, np.empty(0, dtype=np.float64), empty, empty, 0, valid_until
+            frozen = _FrozenStructure(
+                bound, float("inf"), 0.0, ChainCutResult(self.chain, [], 0.0)
             )
-        lo, hi = membership_intervals(
-            first_tasks, last_tasks - 1, self.chain.num_edges
-        )
-        edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
-            self._beta, lo, hi, apply_reduction=True
-        )
-        return edge_index, edge_weight, edge_first, edge_last, p, valid_until
-
-    def _build(self, bound: float) -> _FrozenStructure:
-        """Build, memoize and return the frozen structure at ``bound``."""
-        first_tasks, last_tasks, valid_until = self._windows(bound)
-        p = int(first_tasks.shape[0])
-        if p == 0:
-            r = 0
-            weight = 0.0
         else:
+            prime_weights = prefix[last_tasks + 1] - prefix[first_tasks]
             edge_weight, edge_first, edge_last = reduced_class_arrays(
                 self._beta, first_tasks, last_tasks, self.chain.num_edges
             )
-            r = int(edge_weight.shape[0])
             head = int(np.searchsorted(edge_first, 1))
             weight = sweep_min_weight(
                 edge_weight.tolist(),
@@ -249,9 +262,7 @@ class CompiledChainPlan:
                 edge_last.tolist(),
                 head,
             )
-        frozen = _FrozenStructure(bound, valid_until, weight, p, r)
-        if p == 0:
-            frozen.cut = []
+            frozen = _FrozenStructure(bound, float(prime_weights.min()), weight)
         self._remember(frozen)
         self._count("engine.plan.structures.built")
         if self.hub.enabled:
@@ -267,23 +278,39 @@ class CompiledChainPlan:
             )
         return frozen
 
-    def _remember(self, frozen: _FrozenStructure) -> None:
+    def _remember(self, frozen: _FrozenStructure) -> int:
+        """Insert a freshly built structure; returns how many old entries
+        the capacity bound evicted.
+
+        Only misses insert, so no entry covers ``frozen.valid_from``.
+        Entries that start inside the new interval were built at a
+        higher bound from the same structure, so they end where it ends:
+        they are dropped, which keeps one entry per structure and the
+        intervals pairwise disjoint.
+        """
         # REPRO016/017: maintain the sorted start index incrementally
-        # (insort is O(k)) instead of re-sorting the whole memo — and
-        # rebuilding the list — on every insert.
+        # (bisect/insort are O(k)) instead of re-sorting the whole memo —
+        # and rebuilding the list — on every insert.
         memo = self._memo
         starts = self._starts
+        lo = bisect_left(starts, frozen.valid_from)
+        hi = bisect_left(starts, frozen.valid_until, lo)
+        for start in starts[lo:hi]:
+            del memo[start]
+        del starts[lo:hi]
+        evicted = 0
         while len(memo) >= self.max_structures:
-            evicted, _ = memo.popitem(last=False)
-            starts.remove(evicted)
-        if frozen.valid_from not in memo:
-            insort(starts, frozen.valid_from)
+            oldest, _ = memo.popitem(last=False)
+            starts.remove(oldest)
+            evicted += 1
+        insort(starts, frozen.valid_from)
         memo[frozen.valid_from] = frozen
+        return evicted
 
     def _lookup(self, bound: float) -> Optional[_FrozenStructure]:
         """The memoized structure whose stability interval covers ``bound``.
 
-        Intervals are disjoint (see ``__init__``), so the rightmost
+        Intervals are disjoint (see :meth:`_remember`), so the rightmost
         start at or below ``bound`` is the only possible cover.
         """
         starts = self._starts
@@ -295,38 +322,68 @@ class CompiledChainPlan:
         frozen = self._memo[starts[pos]]
         return frozen if frozen.covers(bound) else None
 
-    def _cut_for(self, frozen: _FrozenStructure) -> List[int]:
+    def _result_for(
+        self, frozen: _FrozenStructure, backend: str = "numpy"
+    ) -> ChainCutResult:
         """The optimal cut for a frozen structure, reconstructed lazily.
 
-        The weight-only sweep drops the solution arena; when a caller
-        (or the verifier) wants the cut itself, the structure is rebuilt
-        at ``valid_from`` — deterministic, so the rebuild is exact — and
-        the full :func:`~repro.engine.kernels.sweep_min_cut` runs once.
+        A sweep build keeps only the weight; when a caller (or the
+        verifier) wants the cut itself, the single-bound routine runs
+        once at ``valid_from`` — deterministic, so the rebuild is exact.
         Its weight must equal the frozen one bit-for-bit; anything else
         is a kernel bug worth crashing on.
         """
-        if frozen.cut is None:
-            edge_index, edge_weight, edge_first, edge_last, _, _ = (
-                self._build_arrays(frozen.valid_from)
-            )
-            cut, weight = sweep_min_cut(
-                edge_index.tolist(),
-                edge_weight.tolist(),
-                edge_first.tolist(),
-                edge_last.tolist(),
-            )
-            if weight != frozen.weight:
+        if frozen.result is None:
+            result, _ = self._solve_at(frozen.valid_from, backend, None)
+            if result.weight != frozen.weight:
                 raise AssertionError(
-                    f"cut sweep weight {weight!r} diverged from the "
+                    f"cut sweep weight {result.weight!r} diverged from the "
                     f"weight-only sweep {frozen.weight!r} at "
                     f"K={frozen.valid_from:g}"
                 )
-            frozen.cut = cut
-        return frozen.cut
+            frozen.result = result
+        return frozen.result
+
+    # ------------------------------------------------------------------
+    # Single bounds
+    # ------------------------------------------------------------------
+    @concurrent_entry
+    def solve_bound(
+        self,
+        bound: float,
+        *,
+        backend: str = "numpy",
+        tracer: Optional["Tracer"] = None,
+    ) -> Tuple[ChainCutResult, str, bool, int]:
+        """One bound through the memo — the engine's single-query path.
+
+        Returns ``(result, outcome, swept, evicted)``: the optimal cut
+        (the memoized object, shared by every query its structure
+        serves); ``"hit"`` when an entry was built at exactly ``bound``,
+        ``"interval_hit"`` when one covers it, or ``"miss"``; whether a
+        sweep ran (a miss, or the first cut asked of a sweep-built
+        entry); and how many entries a miss evicted.  An enabled
+        ``tracer`` receives the miss's ``kernel_dispatch`` span.
+
+        Raises :class:`~repro.core.feasibility.InfeasibleBoundError`
+        below the maximum task weight and ``ValueError`` on a
+        non-finite or non-positive bound.
+        """
+        validate_bound_array(self._alpha_max, bound)
+        with self._lock:
+            frozen = self._lookup(bound)
+            if frozen is not None:
+                outcome = "hit" if frozen.valid_from == bound else "interval_hit"
+                swept = frozen.result is None
+                return self._result_for(frozen, backend), outcome, swept, 0
+            result, valid_until = self._solve_at(bound, backend, tracer)
+            frozen = _FrozenStructure(bound, valid_until, result.weight, result)
+            return result, "miss", True, self._remember(frozen)
 
     # ------------------------------------------------------------------
     # Bound sweeps
     # ------------------------------------------------------------------
+    @concurrent_entry
     @complexity("k log k + g n log q")
     def solve_bounds(
         self,
@@ -361,13 +418,13 @@ class CompiledChainPlan:
         if not np.isfinite(arr).all():
             raise ValueError("ks must be finite")
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "plan_solve_bounds", n=self.chain.num_tasks, queries=arr.shape[0]
-            ) as span:
-                out = self._solve_bounds_impl(arr, return_cuts, span)
-            return out
-        return self._solve_bounds_impl(arr, return_cuts, None)
+        with self._lock:
+            if tracer is not None and tracer.enabled:
+                with tracer.span(
+                    "plan_solve_bounds", n=self.chain.num_tasks, queries=arr.shape[0]
+                ) as span:
+                    return self._solve_bounds_impl(arr, return_cuts, span)
+            return self._solve_bounds_impl(arr, return_cuts, None)
 
     def _solve_bounds_impl(
         self, arr: "np.ndarray", return_cuts: bool, span: Any
@@ -393,7 +450,7 @@ class CompiledChainPlan:
             else:
                 reused += 1
             weight = frozen.weight
-            cut = self._cut_for(frozen) if need_cuts else []
+            cut = self._result_for(frozen).cut_indices if need_cuts else []
             end = frozen.valid_until
             while i < total and arr[order[i]] < end:
                 idx = int(order[i])
@@ -428,7 +485,6 @@ class CompiledChainPlan:
         return weights
 
     def _verify_answer(self, bound: float, cut: List[int], weight: float) -> None:
-        from repro.core.bandwidth import ChainCutResult
         from repro.verify.runtime import maybe_verify_cache_solve
 
         maybe_verify_cache_solve(
@@ -547,10 +603,7 @@ class CompiledChainPlan:
     def _verify_beta_sweep(
         self, mat: "np.ndarray", bound: float, out: "np.ndarray"
     ) -> None:
-        from repro.core.bandwidth import ChainCutResult
         from repro.verify.runtime import maybe_verify_cache_solve
-
-        from repro.core.bandwidth import bandwidth_min
 
         for row, claimed in zip(mat, out):
             # The batched recurrence yields weights only; certify the
@@ -569,7 +622,6 @@ class CompiledChainPlan:
 def compile_chain(
     chain: Chain,
     *,
-    backend: str = "numpy",
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
     hub: Any = None,
@@ -577,31 +629,16 @@ def compile_chain(
 ) -> CompiledChainPlan:
     """Compile ``chain`` into a :class:`CompiledChainPlan` — ``O(n)``.
 
-    Runs the chain-level half of Algorithm 4.1's preprocessing (prefix
-    weights, β table, feasibility floor) once and freezes it; the
-    returned plan then answers bound sweeps and β sweeps with no
-    per-query Python dispatch.  ``backend`` must be ``"numpy"`` (plans
-    *are* the array fast path); an enabled ``tracer`` records a
-    ``plan_compile`` span and ``metrics`` receives
+    Freezes the chain-level half of Algorithm 4.1's preprocessing
+    (prefix weights, β table, feasibility floor) once; the returned plan
+    then answers single bounds, bound sweeps and β sweeps.  An enabled
+    ``tracer`` records a ``plan_compile`` span and ``metrics`` receives
     ``engine.plan.compiled``.
     """
-    if tracer is not None and tracer.enabled:
-        with tracer.span("plan_compile", n=chain.num_tasks):
-            plan = CompiledChainPlan(
-                chain,
-                backend=backend,
-                tracer=tracer,
-                metrics=metrics,
-                hub=hub,
-                max_structures=max_structures,
-            )
-    else:
+    active = tracer if tracer is not None else NULL_TRACER
+    with active.span("plan_compile", n=chain.num_tasks):
         plan = CompiledChainPlan(
-            chain,
-            backend=backend,
-            tracer=tracer,
-            metrics=metrics,
-            hub=hub,
+            chain, tracer=tracer, metrics=metrics, hub=hub,
             max_structures=max_structures,
         )
     if metrics is not None:

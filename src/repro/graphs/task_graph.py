@@ -15,6 +15,7 @@ object churn.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -35,13 +36,14 @@ class TaskGraph:
     ----------
     vertex_weights:
         Processing requirement ``w(t_i)`` for each task, indexed by vertex id.
-        All weights must be non-negative.
+        All weights must be finite and non-negative.
     edges:
         Iterable of ``(u, v)`` pairs (any order; stored canonically).
     edge_weights:
         Communication volume ``w(m_i)`` per edge.  Either a mapping from
         canonical edge to weight, or a sequence aligned with ``edges``.
-        Defaults to weight ``1.0`` on every edge.
+        Defaults to weight ``1.0`` on every edge.  Weights must be
+        non-negative and not NaN; ``inf`` forbids cutting the edge.
     """
 
     __slots__ = ("_vertex_weights", "_edge_weights", "_adjacency")
@@ -54,6 +56,8 @@ class TaskGraph:
     ) -> None:
         self._vertex_weights: List[float] = [float(w) for w in vertex_weights]
         for i, w in enumerate(self._vertex_weights):
+            if not math.isfinite(w):
+                raise ValueError(f"vertex {i} has non-finite weight {w}")
             if w < 0:
                 raise ValueError(f"vertex {i} has negative weight {w}")
         n = len(self._vertex_weights)
@@ -92,6 +96,8 @@ class TaskGraph:
             raise ValueError(f"edge ({u}, {v}) references a vertex out of range")
         if edge in self._edge_weights:
             raise ValueError(f"duplicate edge {edge}")
+        if weight != weight:
+            raise ValueError(f"edge {edge} has NaN weight")
         if weight < 0:
             raise ValueError(f"edge {edge} has negative weight {weight}")
         self._edge_weights[edge] = float(weight)

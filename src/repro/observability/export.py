@@ -34,7 +34,7 @@ import json
 import warnings
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.observability.live import TRACE_SCHEMA_VERSION
+from repro.observability.live import TRACE_SCHEMA_VERSION, json_line
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import Tracer
 
@@ -89,7 +89,7 @@ def write_trace(
     records = trace_records(tracer, metrics, meta, extra_spans)
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json_line(record) + "\n")
     return len(records)
 
 

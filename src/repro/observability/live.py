@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import threading
 import time
@@ -39,6 +40,31 @@ from repro.verify.markers import concurrent_entry, shared_state
 TRACE_SCHEMA_VERSION = 2
 
 Event = Dict[str, Any]
+
+
+def json_line(record: Dict[str, Any], **kwargs: Any) -> str:
+    """``record`` as one strict JSON line (no trailing newline).
+
+    JSON has no literal for a non-finite number, so an ``inf``/NaN
+    anywhere in the record is written as ``null`` — the convention of
+    :meth:`repro.engine.QueryResult.to_json`.  Trace and stream files
+    then parse with any strict reader.
+    """
+    try:
+        return json.dumps(record, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_finite_only(record), allow_nan=False, **kwargs)
+
+
+def _finite_only(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_only(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_only(item) for item in value]
+    return value
 
 
 class TelemetrySubscriber:
@@ -267,7 +293,7 @@ class StreamingJsonlSink(TelemetrySubscriber):
             fh = self._fh
             if fh is None:
                 raise ValueError(f"streaming sink {self.path!r} is closed")
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json_line(record, sort_keys=True) + "\n")
             fh.flush()
             self.lines_written += 1
 

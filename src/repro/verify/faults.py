@@ -97,8 +97,7 @@ class FaultInjectionHarness:
     Parameters
     ----------
     backend:
-        Engine backend each scenario constructs engines with
-        (``"numpy"`` when available, else ``"python"``).
+        Engine backend each scenario constructs engines with.
     fail_on_call:
         Which call ordinal (1-based) of the patched target raises.  The
         default faults the *first* call — the earliest point a raise
@@ -107,16 +106,11 @@ class FaultInjectionHarness:
 
     __slots__ = ("backend", "fail_on_call", "injected_sites")
 
-    def __init__(self, backend: Optional[str] = None,
-                 fail_on_call: int = 1) -> None:
+    def __init__(self, backend: str = "numpy", fail_on_call: int = 1) -> None:
         if fail_on_call < 1:
             raise ValueError(
                 f"fail_on_call is a 1-based ordinal, got {fail_on_call}"
             )
-        if backend is None:
-            from repro.engine import HAVE_NUMPY
-
-            backend = "numpy" if HAVE_NUMPY else "python"
         self.backend = backend
         self.fail_on_call = fail_on_call
         #: ``"namespace.attr"`` labels of every site this harness has
@@ -239,6 +233,14 @@ def _python_kernels(backend: str) -> Iterator[None]:
         native.load = real
 
 
+def _engine_unlocked(engine: Any) -> bool:
+    """The engine's cache lock, plan-LRU lock and every plan's memo
+    lock are all free (see :func:`_lock_released`)."""
+    locks = [engine.cache._lock, engine.plans._lock]
+    locks += [plan._lock for plan in engine.plans._plans.values()]
+    return all(_lock_released(lock) for lock in locks)
+
+
 def _native_available(backend: str) -> bool:
     if backend != "numpy":
         return False
@@ -250,13 +252,13 @@ def _native_available(backend: str) -> bool:
 def certify_structure_compute_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
-    """Fault the prime-structure build inside the cache lock.
+    """Fault the prime-structure build inside the cache and plan locks.
 
-    The structure kernel raising mid-solve must leave the cache lock
-    released, the cache entry un-poisoned, and the next solve of the
-    same query bit-identical.
+    The structure kernel raising mid-solve must leave every lock
+    released, the plan memo un-poisoned, and the next solve of the same
+    query bit-identical.
     """
-    import repro.engine.cache as cache_mod
+    import repro.engine.plan as plan_mod
     from repro.engine import kernels
 
     engine = harness._fresh_engine()
@@ -265,7 +267,7 @@ def certify_structure_compute_fault(
         namespace: Any = kernels
         attribute = "compute_prime_structure_numpy"
     else:
-        namespace = cache_mod
+        namespace = plan_mod
         attribute = "compute_prime_structure"
     with _python_kernels(harness.backend):
         with harness.inject(namespace, attribute):
@@ -278,8 +280,8 @@ def certify_structure_compute_fault(
                     "structure fault was swallowed instead of propagating"
                 )
         _require(
-            _lock_released(engine.cache._lock),
-            "cache lock still held after a structure-build fault",
+            _engine_unlocked(engine),
+            "a cache or plan lock is still held after a structure-build fault",
         )
         harness._certify_recovered(engine, "structure-build fault")
     return {"site": attribute, "recovered": True}
@@ -288,16 +290,15 @@ def certify_structure_compute_fault(
 def certify_sweep_kernel_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
-    """Fault the bandwidth sweep while the cache lock is held."""
-    from repro.engine import kernels
+    """Fault the TEMP_S sweep while the cache and plan locks are held."""
+    import repro.engine.plan as plan_mod
 
     engine = harness._fresh_engine()
-    # ``_solve_impl`` imports the sweep lazily on every binary-search
-    # solve that misses without the native kernel (both backends), so
-    # patching the kernels module attribute injects right inside the
+    # A miss without the native kernel (both backends) calls the plan
+    # module's ``sweep_min_cut`` binding inside ``solve_bound``'s
     # ``with self._lock`` region.
     with _python_kernels(harness.backend):
-        with harness.inject(kernels, "bandwidth_sweep"):
+        with harness.inject(plan_mod, "sweep_min_cut"):
             try:
                 engine.solve(_canonical_chain(), _CANONICAL_BOUND)
             except InjectedFault:
@@ -305,11 +306,11 @@ def certify_sweep_kernel_fault(
             else:
                 raise FaultInjectionError("sweep fault was swallowed")
         _require(
-            _lock_released(engine.cache._lock),
-            "cache lock still held after a sweep-kernel fault",
+            _engine_unlocked(engine),
+            "a cache or plan lock is still held after a sweep-kernel fault",
         )
         harness._certify_recovered(engine, "sweep-kernel fault")
-    return {"site": "bandwidth_sweep", "recovered": True}
+    return {"site": "sweep_min_cut", "recovered": True}
 
 
 def certify_plan_compile_fault(
@@ -321,21 +322,13 @@ def certify_plan_compile_fault(
     must release the lock and must not cache a half-built plan.
     """
     import repro.engine.cache as cache_mod
-    from repro.engine import HAVE_NUMPY
 
     engine = harness._fresh_engine()
     chain = _canonical_chain()
     bounds = [_CANONICAL_BOUND, _CANONICAL_BOUND + 8.0]
     with harness.inject(cache_mod, "compile_chain"):
         try:
-            if engine.backend == "numpy":
-                # The batched sweep routes through the plan cache.
-                engine.solve_sweep(chain, bounds)
-            else:
-                # The python sweep degrades to per-call solves, so hit
-                # the plan cache directly — the compile faults before
-                # any NumPy work, so this runs on every install.
-                engine.plans.get(chain)
+            engine.solve_sweep(chain, bounds)
         except InjectedFault:
             pass
         else:
@@ -348,19 +341,15 @@ def certify_plan_compile_fault(
         len(engine.plans) == 0,
         "a half-built plan was cached despite the compile fault",
     )
-    if HAVE_NUMPY:
-        # A clean compile must now succeed and agree with per-query
-        # solves (compiled plans are NumPy-backed regardless of the
-        # engine backend).
-        plan = engine.plans.get(chain)
-        weights = plan.solve_bounds(bounds)
-        for bound, weight in zip(bounds, weights):
-            solo = engine.solve(chain, bound)
-            _require(
-                float(weight) == float(solo.weight),
-                f"post-fault sweep weight {weight!r} != solo "
-                f"{solo.weight!r} at bound {bound}",
-            )
+    # A clean compile must now succeed and agree with per-query solves.
+    weights = engine.solve_sweep(chain, bounds)
+    for bound, weight in zip(bounds, weights):
+        solo = engine.solve(chain, bound)
+        _require(
+            float(weight) == float(solo.weight),
+            f"post-fault sweep weight {weight!r} != solo "
+            f"{solo.weight!r} at bound {bound}",
+        )
     harness._certify_recovered(engine, "plan-compile fault")
     return {"site": "compile_chain", "recovered": True}
 
@@ -757,7 +746,7 @@ def certify_traced_solve_fault(
     With the native kernel available the fault is raised inside its
     ``kernel_dispatch`` span, at :func:`repro.engine.native.fused_solve`.
     """
-    import repro.engine.cache as cache_mod
+    import repro.engine.plan as plan_mod
     from repro.engine import kernels
     from repro.observability.spans import Tracer
 
@@ -772,7 +761,7 @@ def certify_traced_solve_fault(
         namespace = kernels
         attribute = "compute_prime_structure_numpy"
     else:
-        namespace = cache_mod
+        namespace = plan_mod
         attribute = "compute_prime_structure"
     with harness.inject(namespace, attribute):
         try:

@@ -288,7 +288,6 @@ def _result_row(result: Any) -> Dict[str, Any]:
 
 def _suite_chain() -> Any:
     from repro.core.bandwidth import bandwidth_min
-    from repro.engine.kernels import HAVE_NUMPY
     from repro.observability import Tracer
 
     rows: List[Dict[str, Any]] = []
@@ -309,8 +308,7 @@ def _suite_chain() -> Any:
         row["linear"] = _result_row(linear)
         row["linear_search_steps"] = linear.stats.search_steps
         row["noreduce"] = _result_row(bandwidth_min(chain, bound, apply_reduction=False))
-        if HAVE_NUMPY:
-            row["numpy"] = _result_row(bandwidth_min(chain, bound, backend="numpy"))
+        row["numpy"] = _result_row(bandwidth_min(chain, bound, backend="numpy"))
         tracer = Tracer()
         bandwidth_min(chain, bound, collect_stats=True, tracer=tracer)
         row["trace"] = _strip_trace(tracer.records())
@@ -368,7 +366,6 @@ def _suite_engine() -> Any:
     from repro.core.prime_subpaths import PrimeStructure
     from repro.engine.cache import PrimeStructureCache
     from repro.engine.kernels import (
-        HAVE_NUMPY,
         bandwidth_sweep,
         compute_prime_structure_numpy,
         feasible_components,
@@ -413,7 +410,8 @@ def _suite_engine() -> Any:
     # Two same-length chains must never share cache entries.
     twin_a = Chain([4, 4, 4, 4], [1, 2, 3])
     twin_b = Chain([4, 4, 4, 4], [3, 2, 1])
-    twin_cache = PrimeStructureCache(max_chains=2)
+    twin_cache = PrimeStructureCache()
+    twin_cache.plans.max_plans = 2
     for twin in (twin_a, twin_b, twin_a):
         result = twin_cache.solve(twin, 8.0)
         rows.append({"twin": _result_row(result)})
@@ -431,32 +429,31 @@ def _suite_engine() -> Any:
     structure = PrimeStructure.compute(chain, 2.0 * wmax)
     cut, weight = bandwidth_sweep(structure)
     rows.append({"py_sweep": {"cut": cut, "weight": weight}})
-    if HAVE_NUMPY:
-        prefix = prefix_array(chain)
-        first, last = prime_windows(prefix, 2.0 * wmax)
-        lo, hi = membership_intervals(first, last - 1, chain.num_tasks - 1)
-        arr = compute_prime_structure_numpy(chain, 2.0 * wmax)
-        np_cut, np_weight = bandwidth_sweep(arr)
-        rows.append(
-            {
-                "kernels": {
-                    "first": first.tolist(),
-                    "last": last.tolist(),
-                    "lo": lo.tolist(),
-                    "hi": hi.tolist(),
-                    "p": arr.p,
-                    "r": arr.r,
-                    "q_values": arr.q_values,
-                    "min_prime_weight": _finite(arr.min_prime_weight()),
-                    "cut": np_cut,
-                    "weight": np_weight,
-                    "feasible": feasible_components(prefix, np_cut, 2.0 * wmax),
-                    "infeasible_probe": feasible_components(
-                        prefix, np_cut[1:], 2.0 * wmax
-                    ),
-                }
+    prefix = prefix_array(chain)
+    first, last = prime_windows(prefix, 2.0 * wmax)
+    lo, hi = membership_intervals(first, last - 1, chain.num_tasks - 1)
+    arr = compute_prime_structure_numpy(chain, 2.0 * wmax)
+    np_cut, np_weight = bandwidth_sweep(arr)
+    rows.append(
+        {
+            "kernels": {
+                "first": first.tolist(),
+                "last": last.tolist(),
+                "lo": lo.tolist(),
+                "hi": hi.tolist(),
+                "p": arr.p,
+                "r": arr.r,
+                "q_values": arr.q_values,
+                "min_prime_weight": _finite(arr.min_prime_weight()),
+                "cut": np_cut,
+                "weight": np_weight,
+                "feasible": feasible_components(prefix, np_cut, 2.0 * wmax),
+                "infeasible_probe": feasible_components(
+                    prefix, np_cut[1:], 2.0 * wmax
+                ),
             }
-        )
+        }
+    )
     return rows
 
 
@@ -485,10 +482,7 @@ def _suite_tree() -> Any:
 
 
 def _suite_plan() -> Any:
-    from repro.engine.kernels import HAVE_NUMPY
-
-    if not HAVE_NUMPY:  # pragma: no cover - minimal installs only
-        return [{"skipped": "numpy unavailable"}]
+    from repro.engine import native
     from repro.engine.plan import compile_chain
 
     rows: List[Dict[str, Any]] = []
@@ -517,6 +511,31 @@ def _suite_plan() -> Any:
             ]
             swept = plan.solve_beta_sweep(betas, 2.0 * bound)
             rows.append({"case": name, "beta_weights": swept.tolist()})
+        # Single bounds through the memo on every miss route (native
+        # kernel, NumPy structure, reference structure), then a sweep
+        # over the same plan: the two paths share its entries.
+        real_load = native.load
+        for route in ("native", "numpy", "python"):
+            if route != "native":
+                native.load = lambda: None
+            try:
+                plan = compile_chain(chain, max_structures=3)
+                single = []
+                for k in (1.5 * bound, bound, 1.25 * bound, bound, 4.0 * bound,
+                          3.0 * bound, 2.0 * bound):
+                    result, outcome, ran, evicted = plan.solve_bound(
+                        k, backend="python" if route == "python" else "numpy"
+                    )
+                    single.append([_result_row(result), outcome, ran, evicted])
+                memo = [[_finite(f.valid_from), _finite(f.valid_until)]
+                        for f in plan._memo.values()]
+                weights, cuts = plan.solve_bounds(
+                    [bound, 1.1 * bound, 5.0 * bound], return_cuts=True
+                )
+            finally:
+                native.load = real_load
+            rows.append({"case": name, "route": route, "single": single,
+                         "memo": memo, "shared": [weights.tolist(), cuts]})
     return rows
 
 
@@ -1147,7 +1166,6 @@ _SUITES: Dict[str, Callable[[], Any]] = {
 
 def _certify_chain() -> None:
     from repro.core.bandwidth import bandwidth_min
-    from repro.engine.kernels import HAVE_NUMPY
     from repro.verify.runtime import verify_chain_result
 
     for _name, chain, bound in _chain_cases():
@@ -1155,12 +1173,11 @@ def _certify_chain() -> None:
         verify_chain_result(
             chain, result.cut_indices, bound, result.weight, optimal_bandwidth=True
         )
-        if HAVE_NUMPY:
-            np_result = bandwidth_min(chain, bound, backend="numpy")
-            verify_chain_result(
-                chain, np_result.cut_indices, bound, np_result.weight,
-                optimal_bandwidth=True,
-            )
+        np_result = bandwidth_min(chain, bound, backend="numpy")
+        verify_chain_result(
+            chain, np_result.cut_indices, bound, np_result.weight,
+            optimal_bandwidth=True,
+        )
 
 
 def _certify_prime() -> None:
@@ -1189,10 +1206,6 @@ def _certify_engine() -> None:
 
 
 def _certify_plan() -> None:
-    from repro.engine.kernels import HAVE_NUMPY
-
-    if not HAVE_NUMPY:  # pragma: no cover - minimal installs only
-        return
     from repro.core.bandwidth import ChainCutResult, bandwidth_min
     from repro.engine.plan import compile_chain
     from repro.graphs.chain import Chain

@@ -28,7 +28,9 @@ each run while the workload itself stays reproducible.
 Scenario functions (``hammer_*``) each return a summary dict of what
 was verified; they raise :class:`RaceConditionError` on any violation.
 The scenarios cover exactly the objects :data:`SHARED_REGISTRY`
-declares: ``PrimeStructureCache``, ``PlanCache``, ``TelemetryHub``,
+declares: ``PrimeStructureCache`` together with the
+``CompiledChainPlan`` memos it shares with sweeps, ``PlanCache``,
+``TelemetryHub``,
 ``MetricsRegistry`` (+ instruments), ``Histogram``,
 ``StreamingJsonlSink`` and ``ProfileSampler``.
 """
@@ -158,79 +160,113 @@ def _make_chains(rng: random.Random, count: int, n: int) -> List[Any]:
 def hammer_prime_structure_cache(
     harness: ConcurrencyHarness, *, chains: int = 4, tasks: int = 60
 ) -> Dict[str, Any]:
-    """Hammer ``PrimeStructureCache.solve`` and certify every answer.
+    """Hammer the shared per-chain memo from single queries and sweeps.
 
-    Invariants checked: each served result is element-identical to the
-    serially-computed reference *and* passes the O(n) chain-partition
-    certificate; ``stats.lookups`` equals the exact op count (no lost
-    stat updates); both LRU levels respect their capacity bounds and
-    never hold more structures than misses built (no torn LRU
+    Threads mix ``PrimeStructureCache.solve`` with ``solve_bounds`` on
+    the same chains' plans (taken from ``cache.plans``), so both paths
+    insert into and read from one memo at once.  Invariants checked:
+    each served result is element-identical to the serially-computed
+    reference *and* passes the O(n) chain-partition certificate;
+    ``stats.lookups`` equals the exact number of single-query ops (no
+    lost stat updates); the plan LRU and every plan's memo respect their
+    capacity bounds; each memo's sorted start index matches its entries
+    and the stability intervals stay pairwise disjoint; and no memo
+    holds more structures than misses and sweep builds made (no torn
     bookkeeping).
     """
     from repro.core.bandwidth import bandwidth_min
     from repro.engine.cache import PrimeStructureCache
+    from repro.observability import MetricsRegistry
     from repro.verify.certificates import check_chain_partition
 
     rng = random.Random(f"{harness.seed}-queries")
     pool = _make_chains(rng, chains, tasks)
-    queries: List[Tuple[Any, float]] = []
-    for chain in pool:
+    queries: List[Tuple[int, float]] = []
+    for c, chain in enumerate(pool):
         alpha_max = int(chain.max_vertex_weight())
         for _ in range(6):
-            queries.append((chain, float(rng.randint(alpha_max, 4 * alpha_max))))
+            queries.append((c, float(rng.randint(alpha_max, 4 * alpha_max))))
     reference = [
-        bandwidth_min(chain, bound, apply_reduction=True)
-        for chain, bound in queries
+        bandwidth_min(pool[c], bound, apply_reduction=True)
+        for c, bound in queries
     ]
 
-    cache = PrimeStructureCache(max_chains=max(2, chains // 2))
+    cache = PrimeStructureCache()
+    cache.plans.max_plans = max(2, chains // 2)
+    metrics = MetricsRegistry()
+    solves = [0] * harness.threads
     mistakes: List[str] = []
+
+    def check(q: int, cut: List[int], weight: float) -> None:
+        expected = reference[q]
+        if weight != expected.weight or list(cut) != list(expected.cut_indices):
+            mistakes.append(
+                f"query {q}: got weight {weight} cut {list(cut)}, "
+                f"expected {expected.weight}"
+            )
+            return
+        c, bound = queries[q]
+        check_chain_partition(pool[c], cut, bound, weight).raise_if_failed()
 
     def op(tid: int, i: int, op_rng: random.Random) -> None:
         q = op_rng.randrange(len(queries))
-        chain, bound = queries[q]
-        result = cache.solve(chain, bound)
-        expected = reference[q]
-        if (
-            result.weight != expected.weight
-            or list(result.cut_indices) != list(expected.cut_indices)
-        ):
-            mistakes.append(
-                f"query {q}: got weight {result.weight} cut "
-                f"{list(result.cut_indices)}, expected {expected.weight}"
-            )
+        c, bound = queries[q]
+        if op_rng.random() < 0.5:
+            solves[tid] += 1
+            result = cache.solve(pool[c], bound)
+            check(q, result.cut_indices, result.weight)
             return
-        check_chain_partition(
-            chain, result.cut_indices, bound, result.weight
-        ).raise_if_failed()
+        # A sweep over this query and up to two more on the same chain.
+        batch = [q] + [
+            c * 6 + op_rng.randrange(6) for _ in range(op_rng.randrange(3))
+        ]
+        plan = cache.plans.get(pool[c], metrics=metrics)
+        weights, cuts = plan.solve_bounds(
+            [queries[k][1] for k in batch], return_cuts=True
+        )
+        for k, weight, cut in zip(batch, weights, cuts):
+            check(k, cut, float(weight))
 
     harness.run(op)
     _require(not mistakes, "served results diverged from reference:\n" + "\n".join(mistakes[:5]))
     stats = cache.stats
     _require(
-        stats.lookups == harness.total_ops,
-        f"lost stat updates: {stats.lookups} lookups != {harness.total_ops} ops",
+        stats.lookups == sum(solves),
+        f"lost stat updates: {stats.lookups} lookups != {sum(solves)} solves",
     )
     _require(
         stats.hits + stats.interval_hits + stats.misses == stats.lookups,
         f"torn stats: {stats!r}",
     )
-    stored = len(cache)
     _require(
-        stored <= stats.misses,
-        f"LRU invented structures: {stored} stored > {stats.misses} misses",
+        len(cache.plans) <= cache.plans.max_plans,
+        f"plan LRU over capacity: {len(cache.plans)}",
     )
-    _require(
-        len(cache._entries) <= cache.max_chains,
-        f"chain LRU over capacity: {len(cache._entries)}",
-    )
-    for entry in cache._entries.values():
+    for plan in cache.plans._plans.values():
+        memo = plan._memo
         _require(
-            len(entry.structures) <= cache.max_structures_per_chain,
-            f"structure LRU over capacity: {len(entry.structures)}",
+            len(memo) <= plan.max_structures,
+            f"structure memo over capacity: {len(memo)}",
         )
+        _require(
+            plan._starts == sorted(memo)
+            and all(start == f.valid_from for start, f in memo.items()),
+            f"torn memo index: {plan._starts} vs {list(memo)}",
+        )
+        ordered = [memo[start] for start in plan._starts]
+        _require(
+            all(a.valid_until <= b.valid_from for a, b in zip(ordered, ordered[1:])),
+            f"overlapping memo intervals: {ordered}",
+        )
+    stored = len(cache)
+    built = stats.misses + metrics.counter("engine.plan.structures.built").value
+    _require(
+        stored <= built,
+        f"memo invented structures: {stored} stored > {built} built",
+    )
     return {
         "ops": harness.total_ops,
+        "solves": sum(solves),
         "queries": len(queries),
         "stats": repr(stats),
         "stored_structures": stored,

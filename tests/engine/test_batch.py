@@ -253,6 +253,31 @@ class TestBatchCli:
         assert by_tag["inf-edge"]["weight"] is None
         assert by_tag["ok"]["weight"] == 4.0
 
+    def test_trace_and_stream_files_are_strict_json(self, tmp_path, capsys):
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        records = [
+            {"alpha": [1, 2], "beta": [1], "bound": 1e400, "tag": "inf"},
+            {"alpha": [1, 1], "beta": [1e400], "bound": 1, "tag": "inf-edge"},
+            {"alpha": [1, 2, 3], "beta": [4, 5], "bound": 5, "tag": "ok"},
+        ]
+        inp = tmp_path / "q.jsonl"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in records))
+        trace = tmp_path / "trace.jsonl"
+        stream = tmp_path / "stream.jsonl"
+        for flag, path in (("--trace", trace), ("--stream", stream)):
+            args = ["batch", "--input", str(inp), "--output",
+                    str(tmp_path / "r.jsonl"), flag, str(path)]
+            assert main(args) == 1
+            lines = path.read_text().splitlines()
+            assert lines
+            for line in lines:
+                json.loads(line, parse_constant=reject)
+        assert main(["report", "--trace", str(trace)]) == 0
+        assert main(["top", "--trace", str(stream), "--once"]) == 0
+        capsys.readouterr()
+
     def test_batch_all_ok_exit_zero(self, tmp_path):
         inp = tmp_path / "q.jsonl"
         out = tmp_path / "r.jsonl"
@@ -408,7 +433,9 @@ class TestPlanGrouping:
         one = [PartitionQuery.from_chain(chain, 2.0 * chain.max_vertex_weight())]
         results = engine.solve_many(one, max_workers=0)
         assert results[0].ok
-        assert len(engine.plans) == 0  # a lone query never pays compilation
+        # A lone query is a single-bound solve, never a sweep.
+        assert engine.cache.stats.misses == 1
+        assert engine.metrics.counter("engine.plan.sweeps").value == 0
 
 
 class TestBatchTelemetry:

@@ -1,10 +1,11 @@
-"""Unit tests for the prime-structure cache and its monotone warm-start."""
+"""Unit tests for the single-query cache, the per-chain memo it shares
+with bound sweeps, and the memo's monotone warm-start."""
 
 import pytest
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
-from repro.engine.cache import PrimeStructureCache
+from repro.engine.cache import PlanCache, PrimeStructureCache
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain
 
@@ -34,8 +35,6 @@ class TestFingerprint:
 
 @pytest.fixture(params=["python", "numpy"])
 def cache(request):
-    if request.param == "numpy":
-        pytest.importorskip("numpy")
     return PrimeStructureCache(backend=request.param)
 
 
@@ -106,20 +105,11 @@ class TestCacheServing:
         with pytest.raises(InfeasibleBoundError):
             cache.solve(chain, 0.5 * chain.max_vertex_weight())
 
-    def test_structure_api(self, cache):
-        chain = random_chain(60, rng=6)
-        bound = 3.0 * chain.max_vertex_weight()
-        structure = cache.structure(chain, bound)
-        from repro.core.prime_subpaths import PrimeStructure
-
-        ref = PrimeStructure.compute(chain, bound)
-        assert structure.primes == ref.primes
-        assert structure.edges == ref.edges
-
 
 class TestEviction:
     def test_chain_lru(self):
-        cache = PrimeStructureCache(max_chains=2, backend="python")
+        cache = PrimeStructureCache(backend="python")
+        cache.plans.max_plans = 2
         chains = [random_chain(30, rng=seed) for seed in (10, 11, 12)]
         for chain in chains:
             cache.solve(chain, 2.0 * chain.max_vertex_weight())
@@ -130,15 +120,23 @@ class TestEviction:
         assert cache.stats.misses == misses + 1
 
     def test_structure_lru_per_chain(self):
-        cache = PrimeStructureCache(
-            max_structures_per_chain=4, backend="python"
-        )
+        cache = PrimeStructureCache(backend="python")
         chain = random_chain(40, rng=13)
+        cache.plans.get(chain).max_structures = 4
         wmax = chain.max_vertex_weight()
         for i in range(10):
             cache.solve(chain, wmax * (1.0 + i))
         assert len(cache) <= 4
         assert cache.stats.evictions >= 6
+
+    def test_plan_lru_capacity_is_exact_and_at_least_one(self):
+        assert PlanCache(max_plans=0).max_plans == 1
+        plans = PlanCache(max_plans=3)
+        for seed in (20, 21, 22):
+            plans.get(random_chain(10, rng=seed))
+        assert len(plans) == 3 and plans.stats.evictions == 0
+        _, evicted = plans.fetch(random_chain(10, rng=23))
+        assert evicted and len(plans) == 3
 
     def test_clear(self):
         cache = PrimeStructureCache(backend="python")
@@ -162,20 +160,22 @@ class TestCacheAccounting:
 
     def test_cached_solve_interval_is_closed_on_the_left(self):
         from repro.core.prime_subpaths import compute_prime_structure
-        from repro.engine.cache import _CachedSolve
+        from repro.engine.plan import _FrozenStructure
 
         chain = random_chain(40, rng=3)
         bound = 1.5 * chain.max_vertex_weight()
-        cached = _CachedSolve(compute_prime_structure(chain, bound), bound)
+        structure = compute_prime_structure(chain, bound)
+        cached = _FrozenStructure(bound, structure.min_prime_weight(), 0.0)
         assert cached.covers(bound)  # valid_from itself is covered
         assert not cached.covers(cached.valid_until)
         assert not cached.covers(bound - 1e-9)
 
     def test_capacity_is_exact(self):
-        # Exactly max_structures_per_chain structures must fit without
-        # an eviction; the next distinct structure evicts one.
-        cache = PrimeStructureCache(max_structures_per_chain=3)
+        # Exactly max_structures structures must fit in a chain's plan
+        # without an eviction; the next distinct structure evicts one.
+        cache = PrimeStructureCache()
         chain = random_chain(40, rng=3)
+        cache.plans.get(chain).max_structures = 3
         wmax = chain.max_vertex_weight()
         # Descending bounds: none is covered by an earlier structure's
         # validity interval, so each solve is a genuine miss.
@@ -205,3 +205,51 @@ class TestCacheAccounting:
         assert record["attrs"]["outcome"] == "hit"
         assert record["counts"].get("cache_interval_hits", 0) == 0
         assert record["counts"].get("cache_hits", 0) == 1
+
+
+class TestOneMemo:
+    """Single queries and bound sweeps share each chain's plan memo,
+    which keeps one entry per structure."""
+
+    def test_lower_miss_replaces_the_higher_entry(self, cache):
+        # K=6.5 and K=6 both give the windows of weight 8: one structure.
+        chain = Chain([2.0] * 50, [1.0] * 49)
+        cache.solve(chain, 6.5)
+        cache.solve(chain, 6.0)
+        plan = cache.plans.get(chain)
+        assert [(f.valid_from, f.valid_until) for f in plan._memo.values()] == [
+            (6.0, 8.0)
+        ]
+        assert plan._starts == [6.0]
+        assert len(cache) == 1
+        for bound in (6.2, 6.7):
+            got = cache.solve(chain, bound)
+            ref = bandwidth_min(chain, bound)
+            assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
+        assert cache.stats.misses == 2
+        assert cache.stats.interval_hits == 2
+        assert len(cache) == 1
+
+    def test_solve_answer_serves_the_sweep(self):
+        from repro.engine import PartitionEngine
+
+        engine = PartitionEngine()
+        chain = random_chain(80, rng=21)
+        bound = 2.0 * chain.max_vertex_weight()
+        solo = engine.solve(chain, bound)
+        weights, cuts = engine.solve_sweep(chain, [bound, bound], return_cuts=True)
+        built = engine.metrics.counter("engine.plan.structures.built").value
+        assert built == 0
+        assert engine.metrics.counter("engine.plan.structures.reused").value == 1
+        assert weights.tolist() == [solo.weight, solo.weight]
+        assert cuts == [solo.cut_indices, solo.cut_indices]
+
+    def test_sweep_interval_serves_the_cache(self, cache):
+        chain = Chain([2.0] * 50, [1.0] * 49)
+        plan = cache.plans.get(chain)
+        plan.solve_bounds([6.0])  # builds [6, 8) without a cut
+        got = cache.solve(chain, 7.5)
+        assert cache.stats.interval_hits == 1 and cache.stats.misses == 0
+        ref = bandwidth_min(chain, 7.5)
+        assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
+        assert len(plan) == 1

@@ -40,10 +40,6 @@ class TestCompile:
         assert len(plan) == 0  # nothing built until queried
         assert "CompiledChainPlan" in repr(plan)
 
-    def test_rejects_python_backend(self):
-        with pytest.raises(ValueError, match="array backend"):
-            compile_chain(random_chain(5, rng=2), backend="python")
-
     def test_compile_counter_and_span(self):
         metrics = MetricsRegistry()
         tracer = Tracer()
@@ -141,19 +137,23 @@ class TestSolveBounds:
         assert weights[0] == bandwidth_min(chain, wmax).weight
         assert weights[1] == bandwidth_min(chain, 6.0 * wmax).weight
 
-    def test_build_arrays_handles_primeless_bounds(self):
-        # The cut-capable array build is only reached lazily, so pin the
-        # shape of its empty (no prime subpaths) result directly.
+    def test_single_bound_handles_primeless_bounds(self, monkeypatch):
+        # No prime subpaths: every route returns the empty cut, valid
+        # for every larger bound.
+        from repro.engine import native
+
         chain = random_chain(20, rng=12)
-        plan = compile_chain(chain)
         bound = 2.0 * float(np.sum(chain.alpha))
-        edge_index, edge_weight, edge_first, edge_last, p, valid_until = (
-            plan._build_arrays(bound)
+        plan = compile_chain(chain)
+        for backend in ("numpy", "python"):
+            result, valid_until = plan._solve_at(bound, backend, None)
+            assert (result.cut_indices, result.weight) == ([], 0.0)
+            assert valid_until == float("inf")
+        monkeypatch.setattr(native, "load", lambda: None)
+        result, valid_until = plan._solve_at(bound, "numpy", None)
+        assert (result.cut_indices, result.weight, valid_until) == (
+            [], 0.0, float("inf")
         )
-        assert p == 0
-        assert valid_until == float("inf")
-        for arr in (edge_index, edge_weight, edge_first, edge_last):
-            assert arr.shape == (0,)
 
     def test_memo_eviction_keeps_answers_exact(self):
         chain = random_chain(80, rng=11)
@@ -290,12 +290,12 @@ class TestEngineSolveSweep:
         assert engine.plans.stats.misses == 1
         assert engine.plans.stats.hits == 1
 
-    def test_python_backend_falls_back_to_per_call(self):
+    def test_python_backend_sweeps_through_the_plan(self):
         engine = PartitionEngine(backend="python")
         chain = random_chain(30, rng=41)
         ks = bounds_for(chain, count=5, seed=41)
         weights, cuts = engine.solve_sweep(chain, ks, return_cuts=True)
-        assert len(engine.plans) == 0  # no plan compiled on the python path
+        assert len(engine.plans) == 1
         for k, weight, cut in zip(ks, weights, cuts):
             ref = bandwidth_min(chain, k)
             assert (cut, weight) == (list(ref.cut_indices), ref.weight)

@@ -25,6 +25,35 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not a tree"):
             Tree([1, 1, 1], [(0, 1), (1, 2), (0, 2)])
 
+    @pytest.mark.parametrize(
+        "vertex_weights, edge_weights, message",
+        [
+            ([1.0, float("nan"), 2.0], None, "vertex 1 has non-finite weight nan"),
+            ([1.0, float("inf"), 2.0], None, "vertex 1 has non-finite weight inf"),
+            ([float("-inf"), 1.0, 2.0], None, "vertex 0 has non-finite weight -inf"),
+            ([1.0, -1.0, 2.0], None, "vertex 1 has negative weight -1.0"),
+            ([1.0, 1.0, 2.0], [1.0, float("nan")], r"edge \(1, 2\) has NaN weight"),
+            ([1.0, 1.0, 2.0], [-2.0, 1.0], r"edge \(0, 1\) has negative weight"),
+        ],
+        ids=["nan-task", "inf-task", "neg-inf-task", "negative-task",
+             "nan-edge", "negative-edge"],
+    )
+    def test_rejects_weights_outside_the_domain(
+        self, vertex_weights, edge_weights, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            Tree(vertex_weights, [(0, 1), (1, 2)], edge_weights)
+
+    def test_accepts_zero_tasks_and_infinite_edges(self):
+        tree = Tree([0.0, 1.0, 0.0], [(0, 1), (1, 2)], [float("inf"), 0.0])
+        assert tree.vertex_weights == [0.0, 1.0, 0.0]
+        assert tree.edge_weight(0, 1) == float("inf")
+
+    def test_add_edge_rejects_nan_weight(self):
+        graph = TaskGraph([1.0, 1.0])
+        with pytest.raises(ValueError, match="NaN weight"):
+            graph.add_edge(0, 1, float("nan"))
+
     def test_from_task_graph(self, small_tree):
         graph = TaskGraph(
             small_tree.vertex_weights,

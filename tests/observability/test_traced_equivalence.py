@@ -11,11 +11,10 @@ import pytest
 
 from repro.baselines.nicol import bandwidth_min_nlogn
 from repro.core.bandwidth import bandwidth_min, bandwidth_stats
-from repro.engine.kernels import HAVE_NUMPY
 from repro.graphs.generators import random_chain
 from repro.observability import Tracer
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+BACKENDS = ["python", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -130,7 +129,6 @@ class TestPrimeStructureTracing:
         assert find.attrs["p"] == structure.p
         assert reduce_span.attrs["r"] == structure.r
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_numpy_backend_emits_kernel_dispatch_span(self):
         from repro.engine.kernels import compute_prime_structure_numpy
 
