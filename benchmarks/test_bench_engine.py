@@ -9,8 +9,8 @@ Claims reproduced / asserted:
   one ``solve_bounds`` call) beats the seed loop >= 4x even cold, and a
   warmed plan answers the whole 100-bound vector >= 10x faster than the
   seed loop — the headline compile-once/query-many claim;
-- a single cold query through the NumPy backend is no slower than the
-  pure-Python path at this size;
+- a single cold query is timed through the pure-Python reference and
+  through a fresh ``PartitionEngine``, with identical results;
 - repeat-bound queries are served from the cache at far below the cost
   of recomputation;
 - ``solve_many`` keeps its per-query results identical to the serial
@@ -232,9 +232,14 @@ def test_beta_sweep_throughput(benchmark):
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_single_query(benchmark, backend):
+    """One cold query: the ``repro.core`` reference, or a fresh engine
+    (nothing memoized, so every call is a miss)."""
     chain, bound = make_chain(N_TASKS, 4.0)
     reference = bandwidth_min(chain, bound).weight
-    result = benchmark(bandwidth_min, chain, bound, backend=backend)
+    if backend == "python":
+        result = benchmark(bandwidth_min, chain, bound)
+    else:
+        result = benchmark(lambda: PartitionEngine().solve(chain, bound))
     assert result.weight == reference
 
 
@@ -250,27 +255,43 @@ def test_cached_repeat_bound(benchmark, sweep_instance):
 def test_tracing_disabled_overhead(benchmark):
     """ISSUE acceptance criterion: < 5% overhead with tracing disabled.
 
-    The instrumented public ``bandwidth_min`` (which now threads
+    The instrumented public ``bandwidth_min`` (which threads
     ``tracer=``/span branches through validate → prime structure →
-    sweep) races an inline replica of the uninstrumented pipeline on a
-    cold 10k-task solve.  Min-of-reps timing so scheduler noise doesn't
-    fail the build.
+    sweep) races an inline replica of the uninstrumented reference
+    pipeline on a cold 10k-task solve.  Min-of-reps timing so scheduler
+    noise doesn't fail the build.
     """
     from repro.core.bandwidth import ChainCutResult
     from repro.core.feasibility import validate_bound
-    from repro.engine.kernels import bandwidth_sweep, compute_prime_structure_numpy
+    from repro.core.prime_subpaths import PrimeStructure
+    from repro.core.temp_s import SolutionNode, TempSQueue, solution_weight
     from repro.observability import NULL_TRACER
 
     chain, bound = make_chain(N_TASKS, 4.0)
 
     def instrumented():
-        return bandwidth_min(chain, bound, backend="numpy", tracer=NULL_TRACER)
+        return bandwidth_min(chain, bound, tracer=NULL_TRACER)
 
     def replica():
         validate_bound(chain.alpha, bound)
-        structure = compute_prime_structure_numpy(chain, bound)
-        cut, weight = bandwidth_sweep(structure)
-        return ChainCutResult(chain, cut, weight)
+        structure = PrimeStructure.compute(chain, bound)
+        queue = TempSQueue(search="binary", counter=None)
+        gamma_sol = None
+        for edge in structure.edges:
+            first_prime = edge.first_prime
+            edge_weight = edge.weight
+            completed = queue.pop_completed(first_prime)
+            if completed is not None:
+                gamma_sol = completed.sol
+            w_value = edge_weight + solution_weight(
+                gamma_sol if first_prime > 0 else None
+            )
+            node = SolutionNode(
+                edge.index, edge_weight, gamma_sol if first_prime > 0 else None
+            )
+            queue.update(w_value, node, first_prime, edge.last_prime)
+        bottom = queue.bottom
+        return ChainCutResult(chain, bottom.sol.edge_indices(), bottom.w)
 
     assert instrumented().weight == replica().weight  # and warm imports
 

@@ -348,10 +348,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sampler = ProfileSampler()
         sampler.start()
     try:
-        result = bandwidth_min(
-            chain, bound, backend=args.backend, search=args.search,
-            tracer=tracer,
-        )
+        result = bandwidth_min(chain, bound, search=args.search, tracer=tracer)
     finally:
         if sampler is not None:
             sampler.stop()
@@ -375,7 +372,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "n": args.n,
         "k_ratio": args.k_ratio,
         "seed": args.seed,
-        "backend": args.backend,
         "search": args.search,
     }
     print(
@@ -424,10 +420,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.observability import Tracer
 
-        engine = PartitionEngine(backend=args.backend, tracer=Tracer(),
-                                 hub=hub)
+        engine = PartitionEngine(tracer=Tracer(), hub=hub)
     else:
-        engine = PartitionEngine(backend=args.backend, hub=hub)
+        engine = PartitionEngine(hub=hub)
     try:
         if args.input == "-":
             lines = sys.stdin.readlines()
@@ -437,13 +432,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"batch: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # --sweep forces serial dispatch so every same-fingerprint group of
-    # bandwidth queries is answered through one compiled-plan sweep (a
-    # pool worker plan-routes only within its own chunk of lines).
-    workers = 0 if args.sweep else args.workers
     try:
         results = engine.solve_jsonl(
-            lines, max_workers=workers, chunksize=args.chunksize
+            lines, max_workers=args.workers, chunksize=args.chunksize
         )
     except ValueError as exc:
         print(f"batch: {exc}", file=sys.stderr)
@@ -946,7 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--k-ratio", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["python", "numpy"], default="python")
     p.add_argument("--search", choices=["binary", "linear"], default="binary")
     p.add_argument("--baseline", action="store_true",
                    help="also run the traced Nicol O(n log n) baseline")
@@ -975,18 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="query JSONL file, '-' = stdin")
     p.add_argument("--output", default="-", help="result JSONL file, '-' = stdout")
     p.add_argument("--workers", type=int, default=0,
-                   help="process-pool width; 0 = serial in-process (default)")
+                   help="process-pool width; 0 = serial in-process "
+                        "(default), where same-chain bandwidth queries "
+                        "share one compiled-plan sweep across the input")
     p.add_argument("--chunksize", type=int, default=None,
                    help="input lines per pool task (default: balanced)")
-    p.add_argument("--sweep", action="store_true",
-                   help="answer same-chain bandwidth queries through one "
-                        "compiled-plan sweep per chain across the whole "
-                        "input (forces serial dispatch; pool workers "
-                        "plan-route within their own chunks; plan routing "
-                        "is bypassed under --trace, which needs per-query "
-                        "spans)")
-    p.add_argument("--backend", choices=["numpy", "python"], default="numpy",
-                   help="kernel backend (default: numpy)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="trace the batch and write span/metric JSONL to FILE")
     p.add_argument("--verify", action="store_true",

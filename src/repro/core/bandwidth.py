@@ -103,7 +103,6 @@ def bandwidth_min(
     apply_reduction: bool = True,
     search: str = "binary",
     collect_stats: bool = False,
-    backend: str = "python",
     structure: Optional[Any] = None,
     tracer: Optional["Tracer"] = None,
 ) -> ChainCutResult:
@@ -128,38 +127,33 @@ def bandwidth_min(
     collect_stats:
         Attach an :class:`~repro.instrumentation.counters.AlgorithmStats`
         with the Figure-2 quantities to the result (small overhead).
-    backend:
-        ``"python"`` (reference) or ``"numpy"`` — which kernels build the
-        prime structure.  Results are identical; only the constant factor
-        differs (:mod:`repro.engine.kernels`).
     structure:
-        A precomputed prime structure for ``(chain, bound)`` — the engine
-        cache passes one to skip the ``O(n)`` preprocessing entirely.
-        Must match ``chain``/``bound``/``apply_reduction``.
+        A precomputed prime structure for ``(chain, bound)`` — the
+        reference :class:`~repro.core.prime_subpaths.PrimeStructure` or
+        any object with the same rows — to skip the ``O(n)``
+        preprocessing.  Must match ``chain``/``bound``/``apply_reduction``.
     tracer:
         A :class:`repro.observability.Tracer` (or ``None``).  An enabled
         tracer records nested spans — preprocessing, TEMP_S sweep — whose
         attributes and op-counts reproduce :class:`AlgorithmStats`
-        exactly (same counter object, same expressions); it forces the
-        counted reference sweep, so traced runs pay the ``collect_stats``
-        constant.  ``None``/disabled costs two branches.
+        exactly (same counter object, same expressions), so traced runs
+        pay the ``collect_stats`` constant.  ``None``/disabled costs two
+        branches.
     """
     traced = tracer is not None and tracer.enabled
     if not traced:
         return _bandwidth_min_impl(
-            chain, bound, apply_reduction, search, collect_stats, backend,
-            structure,
+            chain, bound, apply_reduction, search, collect_stats, structure
         )
     with tracer.span(
         "bandwidth_min",
         n=chain.num_tasks,
         bound=bound,
-        backend=backend,
         search=search,
     ) as root:
         result = _bandwidth_min_impl(
-            chain, bound, apply_reduction, search, collect_stats, backend,
-            structure, tracer, root,
+            chain, bound, apply_reduction, search, collect_stats, structure,
+            tracer, root,
         )
         root.set("weight", result.weight)
         root.set("components", result.num_components)
@@ -172,7 +166,6 @@ def _bandwidth_min_impl(
     apply_reduction: bool,
     search: str,
     collect_stats: bool,
-    backend: str,
     structure: Optional[Any],
     tracer: Optional["Tracer"] = None,
     root: Optional["Span"] = None,
@@ -188,14 +181,13 @@ def _bandwidth_min_impl(
                     chain,
                     bound,
                     apply_reduction=apply_reduction,
-                    backend=backend,
                     tracer=tracer,
                 )
                 sp.set("p", structure.p)
                 sp.set("r", structure.r)
         else:
             structure = compute_prime_structure(
-                chain, bound, apply_reduction=apply_reduction, backend=backend
+                chain, bound, apply_reduction=apply_reduction
             )
     elif traced:
         root.set("structure_reused", True)
@@ -209,13 +201,6 @@ def _bandwidth_min_impl(
         import math
 
         root.set("p_log_q", structure.p * math.log2(q) if q > 1.0 else 0.0)  # repro-mutate: equivalent=flip-compare -- log2(1) == 0, both branches emit 0.0 at q == 1
-    if backend == "numpy" and not collect_stats and search == "binary" and not traced:
-        # Fast path: flat-column sweep from the engine kernels (identical
-        # output; imported lazily to keep core importable without NumPy).
-        from repro.engine.kernels import bandwidth_sweep
-
-        cut, weight = bandwidth_sweep(structure)
-        return ChainCutResult(chain, cut, weight)
     if traced:
         sweep_span = tracer.span("temp_s_sweep", r=structure.r)
         sweep_span.__enter__()

@@ -289,8 +289,6 @@ class PartitionEngine:
 
     Parameters
     ----------
-    backend:
-        ``"numpy"`` (default) or ``"python"``.
     cache:
         A :class:`PrimeStructureCache` to share with other engines, or
         ``None`` to own a private one.  Its plan LRU (``cache.plans``,
@@ -320,7 +318,6 @@ class PartitionEngine:
     """
 
     __slots__ = (
-        "backend",
         "cache",
         "plans",
         "max_workers",
@@ -332,18 +329,14 @@ class PartitionEngine:
 
     def __init__(
         self,
-        backend: str = "numpy",
         cache: Optional[PrimeStructureCache] = None,
         max_workers: Optional[int] = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         hub: Optional[HubLike] = None,
     ) -> None:
-        if backend not in ("python", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.hub = hub if hub is not None else NULL_HUB
-        self.cache = cache or PrimeStructureCache(backend=backend, hub=self.hub)
+        self.cache = cache or PrimeStructureCache(hub=self.hub)
         self.plans = self.cache.plans
         self.max_workers = max_workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -362,9 +355,8 @@ class PartitionEngine:
         """Solve one query through the fast path.
 
         ``"bandwidth"`` (Algorithm 4.1) runs through the chain's plan
-        memo with the configured kernels and ``collect_stats`` off; the
-        other objectives delegate to
-        :func:`repro.core.pipeline.partition_chain` (tree algorithms,
+        memo with ``collect_stats`` off; the other objectives delegate
+        to :func:`repro.core.pipeline.partition_chain` (tree algorithms,
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
@@ -377,14 +369,8 @@ class PartitionEngine:
         duration = time.perf_counter() - t0
         self.metrics.counter("engine.queries").inc()
         self.metrics.histogram("engine.query_latency_s").observe(duration)
-        gap: Optional[float] = None
-        if "REPRO_VERIFY" in os.environ and objective == "bandwidth":
-            # Verification runs already pay for a pure-Python re-solve;
-            # the combinatorial lower bound is noise next to that, and
-            # turns every verified solve into a quality sample.
-            gap = optimality_gap(
-                result.weight, chain_bandwidth_lower_bound(chain, bound)
-            )
+        gap = _verified_gap(chain, bound, objective, result.weight)
+        if gap is not None:
             self.metrics.histogram("solve.optimality_gap").observe(gap)
         if self.hub.enabled:
             self.hub.publish(
@@ -468,7 +454,6 @@ class PartitionEngine:
         *,
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        use_plans: bool = True,
     ) -> List[QueryResult]:
         """Solve independent queries, returning results in input order.
 
@@ -477,22 +462,19 @@ class PartitionEngine:
         Everything runs through :func:`_solve_serial`: in-process, or
         in a pool worker per contiguous chunk of ``chunksize`` items
         (same-chain queries in a chunk share a plan).
-        ``use_plans=False`` restores strictly per-call solves.
         """
         items: List[Any] = list(queries)
         workers = self._pool_width(max_workers, len(items))
         t0 = time.perf_counter()
         if not workers:
             results = _solve_serial(
-                self, _parse_items(items, self.tracer), use_plans,
-                self.tracer.enabled,
+                self, _parse_items(items, self.tracer), self.tracer.enabled
             )
         else:
             if chunksize is None:
                 chunksize = max(1, len(items) // (4 * workers))
             chunks = [
-                (start, items[start:start + chunksize], self.backend,
-                 self.tracer.enabled, use_plans)
+                (start, items[start:start + chunksize], self.tracer.enabled)
                 for start in range(0, len(items), chunksize)
             ]
             # Chunks come back in input order, so the first raw-line
@@ -597,7 +579,6 @@ class PartitionEngine:
         *,
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        use_plans: bool = True,
     ) -> List[QueryResult]:
         """Parse JSONL query records and solve them as one batch.
 
@@ -614,8 +595,7 @@ class PartitionEngine:
             # (``engine.batch.wall_s``) then covers the solve alone.
             records = _parse_items(records, self.tracer)
         return self.solve_many(
-            records, max_workers=max_workers, chunksize=chunksize,
-            use_plans=use_plans,
+            records, max_workers=max_workers, chunksize=chunksize
         )
 
 
@@ -624,14 +604,29 @@ class PartitionEngine:
 _WORKER_ENGINE: Optional[PartitionEngine] = None
 
 
-def _worker_engine(backend: str) -> PartitionEngine:
+def _worker_engine() -> PartitionEngine:
     global _WORKER_ENGINE
-    if _WORKER_ENGINE is None or _WORKER_ENGINE.backend != backend:
+    if _WORKER_ENGINE is None:
         # Intentional per-process cache: each worker owns its engine so
         # prime structures persist across the chunks it processes, and
         # nothing here must ever flow back to the parent.
-        _WORKER_ENGINE = PartitionEngine(backend=backend, max_workers=0)  # repro-lint: disable=REPRO006 (per-process cache)
+        _WORKER_ENGINE = PartitionEngine(max_workers=0)  # repro-lint: disable=REPRO006 (per-process cache)
     return _WORKER_ENGINE
+
+
+def _verified_gap(
+    chain: Chain, bound: float, objective: str, weight: float
+) -> Optional[float]:
+    """The optimality gap of a bandwidth answer against the
+    combinatorial lower bound, or ``None`` outside ``REPRO_VERIFY``.
+
+    Verification runs already pay for a pure-Python re-solve; the lower
+    bound is noise next to that, and turns every verified solve into a
+    quality sample.
+    """
+    if objective != "bandwidth" or "REPRO_VERIFY" not in os.environ:
+        return None
+    return optimality_gap(weight, chain_bandwidth_lower_bound(chain, bound))
 
 
 def _solve_one(
@@ -652,7 +647,7 @@ def _solve_one(
 
 
 def _solve_serial(
-    engine: PartitionEngine, queries: List[PartitionQuery], use_plans: bool, trace: bool
+    engine: PartitionEngine, queries: List[PartitionQuery], trace: bool
 ) -> List[QueryResult]:
     """The one batch loop: plan-route bandwidth groups, per-call
     everything else.  Results are indexed by position in ``queries``.
@@ -665,13 +660,11 @@ def _solve_serial(
     per-call solves so errors stay per query.  ``trace`` disables plan
     routing — per-query spans are the contract there.
     """
-    routed = use_plans and engine.backend == "numpy" and not trace
     groups: Dict[Tuple[tuple, tuple], List[Tuple[int, PartitionQuery]]] = {}
     for i, q in enumerate(queries):
-        if routed and q.objective == "bandwidth":
+        if not trace and q.objective == "bandwidth":
             groups.setdefault((q.alpha, q.beta), []).append((i, q))
     results: List[Optional[QueryResult]] = [None] * len(queries)
-    verify = "REPRO_VERIFY" in os.environ
     for (alpha, beta), members in groups.items():
         alpha_max = max(alpha) if alpha else 0.0
         eligible = [
@@ -699,10 +692,9 @@ def _solve_serial(
                 len(cut) + 1,
             )
             answer.telemetry = {"duration_s": share, "plan_group": len(eligible)}
-            if verify:
-                answer.telemetry["optimality_gap"] = optimality_gap(
-                    float(weight), chain_bandwidth_lower_bound(chain, q.bound)
-                )
+            gap = _verified_gap(chain, q.bound, q.objective, float(weight))
+            if gap is not None:
+                answer.telemetry["optimality_gap"] = gap
             results[i] = answer
             if engine.hub.enabled:
                 engine._publish_result(answer)
@@ -720,10 +712,10 @@ def _solve_chunk(chunk: tuple) -> List[QueryResult]:
     """Pool worker entry: parse one contiguous chunk, run
     :func:`_solve_serial` on it and number the results from ``start``.
     A traced chunk's ``batch.parse`` span rides on its first result."""
-    start, items, backend, trace, use_plans = chunk
+    start, items, trace = chunk
     tracer = Tracer() if trace else NULL_TRACER
     queries = _parse_items(items, tracer)
-    results = _solve_serial(_worker_engine(backend), queries, use_plans, trace)
+    results = _solve_serial(_worker_engine(), queries, trace)
     for result in results:
         result.index += start
     telemetry = results[0].telemetry
@@ -756,10 +748,7 @@ def _solve_query(
             index, query.tag, objective, bound, list(result.cut_indices),
             result.weight, result.num_components,
         )
-        if "REPRO_VERIFY" in os.environ and objective == "bandwidth":
-            gap = optimality_gap(
-                result.weight, chain_bandwidth_lower_bound(chain, bound)
-            )
+        gap = _verified_gap(chain, bound, objective, result.weight)
     except (PartitioningError, ValueError) as exc:  # repro-lint: disable=REPRO024 error is captured into the QueryResult payload and published downstream
         answer = QueryResult(index, query.tag, objective, bound, error=str(exc))
     duration = time.perf_counter() - t0

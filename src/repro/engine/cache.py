@@ -95,10 +95,6 @@ class PrimeStructureCache:
 
     Parameters
     ----------
-    backend:
-        ``"numpy"`` (default) or ``"python"`` — which kernels solve a
-        miss when the native fused kernel does not: the NumPy prime
-        structure, or the ``repro.core`` reference structure.
     hub:
         A live :class:`~repro.observability.TelemetryHub`, or ``None``
         for the no-op default.  With a live hub, misses and evictions
@@ -117,14 +113,9 @@ class PrimeStructureCache:
     sweeps on other threads mutate too.
     """
 
-    __slots__ = ("backend", "plans", "stats", "hub", "_lock")
+    __slots__ = ("plans", "stats", "hub", "_lock")
 
-    def __init__(
-        self, backend: str = "numpy", hub: Optional["HubLike"] = None
-    ) -> None:
-        if backend not in ("python", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
+    def __init__(self, hub: Optional["HubLike"] = None) -> None:
         self.plans = PlanCache()
         self.stats = CacheStats()
         self.hub = hub if hub is not None else NULL_HUB
@@ -206,7 +197,7 @@ class PrimeStructureCache:
                 if self.hub.enabled:
                     self._publish_cache_event("evict_chain", 0.0)
             result, outcome, swept, evicted = plan.solve_bound(
-                bound, backend=self.backend, tracer=tracer
+                bound, tracer=tracer
             )
             if outcome == "miss":
                 stats.misses += 1

@@ -19,12 +19,14 @@ which may disagree by one position when a window weight sits within an
 ulp of the bound.  :func:`prime_windows` therefore seeds each endpoint
 with ``searchsorted`` and then runs a vectorized fix-up that nudges
 endpoints until the subtraction-form predicate holds exactly — same
-comparisons as the pure-Python loop, so the two backends never diverge,
-not even on adversarial ties (the property suite asserts this).
+comparisons as the pure-Python loop, so the kernels and the reference
+never diverge, not even on adversarial ties (the property suite asserts
+this).
 
-The public entry point is :func:`compute_prime_structure_numpy`, which
-:func:`repro.core.prime_subpaths.compute_prime_structure` dispatches to
-for ``backend="numpy"``.  The returned :class:`ArrayPrimeStructure`
+The public entry point is :func:`compute_prime_structure_numpy`, the
+engine's structure build when the native kernel is unavailable and the
+array twin of :func:`repro.core.prime_subpaths.compute_prime_structure`.
+The returned :class:`ArrayPrimeStructure`
 stores arrays and materializes :class:`PrimeSubpath`/:class:`ReducedEdge`
 rows lazily — Algorithm 4.1's sweep touches only the ``r`` reduced
 edges, so the ``O(n)`` part of a query never builds a Python object.

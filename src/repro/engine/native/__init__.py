@@ -1,6 +1,6 @@
 """Native fused Algorithm 4.1 kernel, built on first use and loaded with ctypes.
 
-The NumPy backend runs the ``O(n)`` preprocessing as array operations
+The NumPy kernels run the ``O(n)`` preprocessing as array operations
 but the TEMP_S sweep as a Python loop, because the sweep is a
 sequential DP with a bisect that NumPy cannot vectorise.  This package
 ships one small C file, ``fused_chain.c``, that does the whole query in

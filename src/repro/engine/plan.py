@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
-from repro.core.prime_subpaths import compute_prime_structure
 from repro.engine import kernels
 from repro.engine.kernels import (
     beta_array,
@@ -208,19 +207,18 @@ class CompiledChainPlan:
             self.metrics.counter(name).inc(amount)
 
     def _solve_at(
-        self, bound: float, backend: str, tracer: Optional["Tracer"]
+        self, bound: float, tracer: Optional["Tracer"]
     ) -> Tuple[ChainCutResult, float]:
         """Algorithm 4.1 at one bound, outside the memo: the optimal cut
         and the stability-interval end.
 
-        The native fused kernel serves it when it loads.  Otherwise the
-        NumPy prime structure — or, on ``backend="python"``, the
-        ``repro.core`` reference structure — feeds
+        The native fused kernel serves it when it loads.  Otherwise (no
+        C compiler on the host) the NumPy prime structure feeds
         :func:`~repro.engine.kernels.sweep_min_cut`.
         """
         from repro.engine import native
 
-        if backend == "numpy" and native.load() is not None:
+        if native.load() is not None:
             active = tracer if tracer is not None else NULL_TRACER
             with active.span(
                 "kernel_dispatch", kernel="native_fused", n=self.chain.num_tasks
@@ -232,12 +230,9 @@ class CompiledChainPlan:
             if fused is not None:
                 result = ChainCutResult(self.chain, fused.cut, fused.weight)
                 return result, fused.min_prime_weight
-        if backend == "numpy":
-            structure = kernels.compute_prime_structure_numpy(
-                self.chain, bound, tracer=tracer
-            )
-        else:
-            structure = compute_prime_structure(self.chain, bound, tracer=tracer)
+        structure = kernels.compute_prime_structure_numpy(
+            self.chain, bound, tracer=tracer
+        )
         cut, weight = sweep_min_cut(*edge_columns(structure))
         return ChainCutResult(self.chain, cut, weight), structure.min_prime_weight()
 
@@ -322,9 +317,7 @@ class CompiledChainPlan:
         frozen = self._memo[starts[pos]]
         return frozen if frozen.covers(bound) else None
 
-    def _result_for(
-        self, frozen: _FrozenStructure, backend: str = "numpy"
-    ) -> ChainCutResult:
+    def _result_for(self, frozen: _FrozenStructure) -> ChainCutResult:
         """The optimal cut for a frozen structure, reconstructed lazily.
 
         A sweep build keeps only the weight; when a caller (or the
@@ -334,7 +327,7 @@ class CompiledChainPlan:
         is a kernel bug worth crashing on.
         """
         if frozen.result is None:
-            result, _ = self._solve_at(frozen.valid_from, backend, None)
+            result, _ = self._solve_at(frozen.valid_from, None)
             if result.weight != frozen.weight:
                 raise AssertionError(
                     f"cut sweep weight {result.weight!r} diverged from the "
@@ -349,11 +342,7 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     @concurrent_entry
     def solve_bound(
-        self,
-        bound: float,
-        *,
-        backend: str = "numpy",
-        tracer: Optional["Tracer"] = None,
+        self, bound: float, *, tracer: Optional["Tracer"] = None
     ) -> Tuple[ChainCutResult, str, bool, int]:
         """One bound through the memo — the engine's single-query path.
 
@@ -375,8 +364,8 @@ class CompiledChainPlan:
             if frozen is not None:
                 outcome = "hit" if frozen.valid_from == bound else "interval_hit"
                 swept = frozen.result is None
-                return self._result_for(frozen, backend), outcome, swept, 0
-            result, valid_until = self._solve_at(bound, backend, tracer)
+                return self._result_for(frozen), outcome, swept, 0
+            result, valid_until = self._solve_at(bound, tracer)
             frozen = _FrozenStructure(bound, valid_until, result.weight, result)
             return result, "miss", True, self._remember(frozen)
 
@@ -610,7 +599,7 @@ class CompiledChainPlan:
             # claimed weight on the reference cut (the cross-check
             # inside re-solves the perturbed chain and must agree).
             perturbed = Chain(self.chain.alpha_array, row)
-            reference = bandwidth_min(perturbed, bound, backend="python")
+            reference = bandwidth_min(perturbed, bound)
             maybe_verify_cache_solve(
                 perturbed,
                 bound,

@@ -96,22 +96,19 @@ class FaultInjectionHarness:
 
     Parameters
     ----------
-    backend:
-        Engine backend each scenario constructs engines with.
     fail_on_call:
         Which call ordinal (1-based) of the patched target raises.  The
         default faults the *first* call — the earliest point a raise
         can escape.
     """
 
-    __slots__ = ("backend", "fail_on_call", "injected_sites")
+    __slots__ = ("fail_on_call", "injected_sites")
 
-    def __init__(self, backend: str = "numpy", fail_on_call: int = 1) -> None:
+    def __init__(self, fail_on_call: int = 1) -> None:
         if fail_on_call < 1:
             raise ValueError(
                 f"fail_on_call is a 1-based ordinal, got {fail_on_call}"
             )
-        self.backend = backend
         self.fail_on_call = fail_on_call
         #: ``"namespace.attr"`` labels of every site this harness has
         #: injected so far — the acceptance criterion counts these.
@@ -173,7 +170,7 @@ class FaultInjectionHarness:
     def _fresh_engine(self, **kwargs: Any) -> Any:
         from repro.engine import PartitionEngine
 
-        return PartitionEngine(backend=self.backend, **kwargs)
+        return PartitionEngine(**kwargs)
 
     def _reference_answer(self) -> Tuple[float, List[int]]:
         engine = self._fresh_engine()
@@ -211,18 +208,15 @@ class FaultInjectionHarness:
 
 
 @contextmanager
-def _python_kernels(backend: str) -> Iterator[None]:
-    """Run the body on the cache's Python-kernel miss path.
+def _without_native() -> Iterator[None]:
+    """Run the body on the cache's no-native miss path.
 
-    On the NumPy backend a binary-search miss normally goes to the
-    native fused kernel; with :func:`repro.engine.native.load` patched
-    to return ``None`` (as when no compiler is available) the miss
-    builds the NumPy structure and runs the Python sweep, so the
-    structure and sweep injection sites are reached.
+    A miss normally goes to the native fused kernel; with
+    :func:`repro.engine.native.load` patched to return ``None`` (as when
+    no compiler is available) the miss builds the NumPy structure and
+    runs the Python sweep, so the structure and sweep injection sites
+    are reached.
     """
-    if backend != "numpy":
-        yield
-        return
     from repro.engine import native
 
     real = native.load
@@ -241,9 +235,7 @@ def _engine_unlocked(engine: Any) -> bool:
     return all(_lock_released(lock) for lock in locks)
 
 
-def _native_available(backend: str) -> bool:
-    if backend != "numpy":
-        return False
+def _native_available() -> bool:
     from repro.engine import native
 
     return native.load() is not None
@@ -258,19 +250,12 @@ def certify_structure_compute_fault(
     released, the plan memo un-poisoned, and the next solve of the same
     query bit-identical.
     """
-    import repro.engine.plan as plan_mod
     from repro.engine import kernels
 
     engine = harness._fresh_engine()
-
-    if harness.backend == "numpy":
-        namespace: Any = kernels
-        attribute = "compute_prime_structure_numpy"
-    else:
-        namespace = plan_mod
-        attribute = "compute_prime_structure"
-    with _python_kernels(harness.backend):
-        with harness.inject(namespace, attribute):
+    attribute = "compute_prime_structure_numpy"
+    with _without_native():
+        with harness.inject(kernels, attribute):
             try:
                 engine.solve(_canonical_chain(), _CANONICAL_BOUND)
             except InjectedFault:
@@ -294,10 +279,10 @@ def certify_sweep_kernel_fault(
     import repro.engine.plan as plan_mod
 
     engine = harness._fresh_engine()
-    # A miss without the native kernel (both backends) calls the plan
-    # module's ``sweep_min_cut`` binding inside ``solve_bound``'s
+    # A miss without the native kernel calls the plan module's
+    # ``sweep_min_cut`` binding inside ``solve_bound``'s
     # ``with self._lock`` region.
-    with _python_kernels(harness.backend):
+    with _without_native():
         with harness.inject(plan_mod, "sweep_min_cut"):
             try:
                 engine.solve(_canonical_chain(), _CANONICAL_BOUND)
@@ -369,9 +354,13 @@ def certify_batch_query_fault(
     from repro.engine import PartitionQuery
 
     chain = _canonical_chain()
+    # One chain per query: a same-chain group would be answered by one
+    # plan sweep instead of the per-query ``_solve_one`` faulted here.
     queries = [
-        PartitionQuery.from_chain(chain, _CANONICAL_BOUND + 4.0 * i,
-                                  tag=f"q{i}")
+        PartitionQuery.from_chain(
+            Chain(chain.alpha_array, chain.beta_array + float(i)),
+            _CANONICAL_BOUND + 4.0 * i, tag=f"q{i}",
+        )
         for i in range(4)
     ]
 
@@ -389,7 +378,7 @@ def certify_batch_query_fault(
         batch_mod, "_solve_one",
         wrap=lambda real, n, *a, **k: failing_solve_one(*a, **k),
     ):
-        faulted = engine.solve_many(queries, max_workers=0, use_plans=False)
+        faulted = engine.solve_many(queries, max_workers=0)
     errored = [r for r in faulted if r.error is not None]
     _require(
         len(errored) == 1 and errored[0].index == 1,
@@ -400,10 +389,8 @@ def certify_batch_query_fault(
         all(r.error is None for r in faulted if r.index != 1),
         "a neighbouring query was poisoned by the injected fault",
     )
-    clean = engine.solve_many(queries, max_workers=0, use_plans=False)
-    reference = harness._fresh_engine().solve_many(
-        queries, max_workers=0, use_plans=False
-    )
+    clean = engine.solve_many(queries, max_workers=0)
+    reference = harness._fresh_engine().solve_many(queries, max_workers=0)
     for after, ref in zip(clean, reference):
         _require(
             after.error is None
@@ -746,23 +733,19 @@ def certify_traced_solve_fault(
     With the native kernel available the fault is raised inside its
     ``kernel_dispatch`` span, at :func:`repro.engine.native.fused_solve`.
     """
-    import repro.engine.plan as plan_mod
     from repro.engine import kernels
     from repro.observability.spans import Tracer
 
     tracer = Tracer(enabled=True)
     engine = harness._fresh_engine(tracer=tracer)
-    if _native_available(harness.backend):
+    if _native_available():
         from repro.engine import native
 
         namespace: Any = native
         attribute = "fused_solve"
-    elif harness.backend == "numpy":
+    else:
         namespace = kernels
         attribute = "compute_prime_structure_numpy"
-    else:
-        namespace = plan_mod
-        attribute = "compute_prime_structure"
     with harness.inject(namespace, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)

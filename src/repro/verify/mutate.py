@@ -286,6 +286,17 @@ def _result_row(result: Any) -> Dict[str, Any]:
     return {"cut": list(result.cut_indices), "weight": result.weight}
 
 
+def _kernel_result(chain: Any, bound: float) -> Any:
+    """Algorithm 4.1 on the NumPy kernels: the array structure plus the
+    flat-column sweep, the engine's route when the native kernel is
+    unavailable."""
+    from repro.core.bandwidth import ChainCutResult
+    from repro.engine.kernels import bandwidth_sweep, compute_prime_structure_numpy
+
+    cut, weight = bandwidth_sweep(compute_prime_structure_numpy(chain, bound))
+    return ChainCutResult(chain, cut, weight)
+
+
 def _suite_chain() -> Any:
     from repro.core.bandwidth import bandwidth_min
     from repro.observability import Tracer
@@ -308,7 +319,7 @@ def _suite_chain() -> Any:
         row["linear"] = _result_row(linear)
         row["linear_search_steps"] = linear.stats.search_steps
         row["noreduce"] = _result_row(bandwidth_min(chain, bound, apply_reduction=False))
-        row["numpy"] = _result_row(bandwidth_min(chain, bound, backend="numpy"))
+        row["numpy"] = _result_row(_kernel_result(chain, bound))
         tracer = Tracer()
         bandwidth_min(chain, bound, collect_stats=True, tracer=tracer)
         row["trace"] = _strip_trace(tracer.records())
@@ -511,21 +522,19 @@ def _suite_plan() -> Any:
             ]
             swept = plan.solve_beta_sweep(betas, 2.0 * bound)
             rows.append({"case": name, "beta_weights": swept.tolist()})
-        # Single bounds through the memo on every miss route (native
-        # kernel, NumPy structure, reference structure), then a sweep
-        # over the same plan: the two paths share its entries.
+        # Single bounds through the memo on both miss routes (native
+        # kernel, NumPy structure), then a sweep over the same plan: the
+        # two paths share its entries.
         real_load = native.load
-        for route in ("native", "numpy", "python"):
-            if route != "native":
+        for route in ("native", "numpy"):
+            if route == "numpy":
                 native.load = lambda: None
             try:
                 plan = compile_chain(chain, max_structures=3)
                 single = []
                 for k in (1.5 * bound, bound, 1.25 * bound, bound, 4.0 * bound,
                           3.0 * bound, 2.0 * bound):
-                    result, outcome, ran, evicted = plan.solve_bound(
-                        k, backend="python" if route == "python" else "numpy"
-                    )
+                    result, outcome, ran, evicted = plan.solve_bound(k)
                     single.append([_result_row(result), outcome, ran, evicted])
                 memo = [[_finite(f.valid_from), _finite(f.valid_until)]
                         for f in plan._memo.values()]
@@ -1173,7 +1182,7 @@ def _certify_chain() -> None:
         verify_chain_result(
             chain, result.cut_indices, bound, result.weight, optimal_bandwidth=True
         )
-        np_result = bandwidth_min(chain, bound, backend="numpy")
+        np_result = _kernel_result(chain, bound)
         verify_chain_result(
             chain, np_result.cut_indices, bound, np_result.weight,
             optimal_bandwidth=True,

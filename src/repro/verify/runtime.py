@@ -4,8 +4,8 @@ With ``REPRO_VERIFY=1`` in the environment (or ``--verify`` on the
 ``repro run`` / ``repro batch`` CLI, which sets it), every solve that
 flows through the engine re-checks its own output with the
 :mod:`repro.verify.certificates` checkers before returning it, and the
-engine cache additionally cross-checks the NumPy kernels against the
-pure-Python reference on every cached/warm-started path.  A failed
+engine cache additionally cross-checks its kernels (native or NumPy)
+against the pure-Python reference on every cached/warm-started path.  A failed
 check raises :class:`~repro.verify.certificates.VerificationError`
 naming the violated paper invariant — in batch mode that lands in the
 per-query ``error`` field instead of poisoning the batch.
@@ -98,7 +98,7 @@ def cross_check_chain_backends(
 ) -> CertificateReport:
     """Cross-check a served result against a fresh pure-Python solve.
 
-    The engine cache serves results computed by the NumPy kernels, and
+    The engine cache serves results computed by its kernels, and
     warm-started paths serve results memoized at a *different* bound
     inside the structure's stability interval.  Both must agree
     element-for-element with the reference implementation re-run from
@@ -108,9 +108,7 @@ def cross_check_chain_backends(
 
     report = CertificateReport("backend_cross_check")
     report.checks += 1
-    reference = bandwidth_min(
-        chain, bound, apply_reduction=apply_reduction, backend="python"
-    )
+    reference = bandwidth_min(chain, bound, apply_reduction=apply_reduction)
     if list(reference.cut_indices) != list(result.cut_indices):
         report.add(
             "engine.cut_divergence",
@@ -144,7 +142,8 @@ def verify_cache_solve(
     """Full self-certification of one engine-cache solve.
 
     Runs the certificate checkers (load bound, bandwidth, prime cover,
-    non-redundant support) plus the pure-Python backend cross-check.
+    non-redundant support) plus the cross-check against the pure-Python
+    reference.
     Called by :meth:`repro.engine.cache.PrimeStructureCache.solve` when
     ``REPRO_VERIFY=1``.
     """

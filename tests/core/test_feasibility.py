@@ -102,16 +102,22 @@ class TestSolverEdgeCases:
         with pytest.raises(ValueError, match="non-positive weight"):
             Chain([0.0, 5.0], [2.0])
 
-    def test_exactly_tight_bound_stays_feasible(self):
+    def test_exactly_tight_bound_stays_feasible(self, monkeypatch):
         """Regression: K equal to the max vertex weight must never
         produce an infeasible cut, even when prefix-difference rounding
         makes the heaviest task look critical on its own (a single task
         is never a critical subpath)."""
         from repro.core.bandwidth import bandwidth_min
+        from repro.engine import PartitionEngine, native
         from repro.graphs.generators import random_chain
 
         chain = random_chain(40, rng=13)
         bound = chain.max_vertex_weight()
-        for backend in ("python", "numpy"):
-            result = bandwidth_min(chain, bound, backend=backend)
-            assert chain.is_feasible_cut(result.cut_indices, bound), backend
+        results = {
+            "reference": bandwidth_min(chain, bound),
+            "native": PartitionEngine().solve(chain, bound),
+        }
+        monkeypatch.setattr(native, "load", lambda: None)
+        results["numpy"] = PartitionEngine().solve(chain, bound)
+        for route, result in results.items():
+            assert chain.is_feasible_cut(result.cut_indices, bound), route

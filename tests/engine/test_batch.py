@@ -48,11 +48,18 @@ class TestSolve:
         with pytest.raises(ValueError):
             engine.solve(chain, 100.0, "makespan")
 
-    def test_python_backend(self):
-        engine = PartitionEngine(backend="python")
+    def test_without_native_kernel(self, monkeypatch):
+        # A host with no C compiler: misses run the NumPy structure and
+        # the Python sweep.
+        from repro.engine import native
+
+        monkeypatch.setattr(native, "load", lambda: None)
+        engine = PartitionEngine()
         chain = random_chain(50, rng=4)
         bound = 2.0 * chain.max_vertex_weight()
-        assert engine.solve(chain, bound).weight == bandwidth_min(chain, bound).weight
+        got = engine.solve(chain, bound)
+        ref = bandwidth_min(chain, bound)
+        assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
 
 
 class TestSolveMany:
@@ -168,7 +175,7 @@ class TestBatchCli:
         )
         assert "error" in rows[1]
 
-    def test_batch_sweep_flag_matches_default(self, tmp_path):
+    def test_batch_pooled_matches_serial(self, tmp_path):
         chain = random_chain(20, rng=61)
         records = [
             {
@@ -181,13 +188,14 @@ class TestBatchCli:
         ]
         inp = tmp_path / "queries.jsonl"
         inp.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        plain_out = tmp_path / "plain.jsonl"
-        sweep_out = tmp_path / "sweep.jsonl"
-        assert main(["batch", "--input", str(inp), "--output", str(plain_out)]) == 0
+        serial_out = tmp_path / "serial.jsonl"
+        pooled_out = tmp_path / "pooled.jsonl"
+        assert main(["batch", "--input", str(inp), "--output", str(serial_out)]) == 0
         assert main(
-            ["batch", "--sweep", "--input", str(inp), "--output", str(sweep_out)]
+            ["batch", "--workers", "2", "--input", str(inp),
+             "--output", str(pooled_out)]
         ) == 0
-        assert sweep_out.read_text() == plain_out.read_text()
+        assert pooled_out.read_text() == serial_out.read_text()
 
     @pytest.mark.parametrize(
         "record",
@@ -358,6 +366,18 @@ class TestPooledJsonl:
         assert roots(records) == [0, 1, 3, 4, 5, 7, 8]
 
 
+def solve_per_call(queries):
+    """Each query as a batch of its own (a lone query never plan-routes),
+    numbered by its position in ``queries``."""
+    engine = PartitionEngine()
+    results = []
+    for index, query in enumerate(queries):
+        (result,) = engine.solve_many([query], max_workers=0)
+        result.index = index
+        results.append(result)
+    return results
+
+
 class TestPlanGrouping:
     """solve_many's fingerprint grouping through compiled plans."""
 
@@ -373,9 +393,7 @@ class TestPlanGrouping:
     def test_serial_plan_routing_matches_per_call(self):
         queries = self.make_grouped_queries()
         routed = PartitionEngine().solve_many(queries, max_workers=0)
-        direct = PartitionEngine().solve_many(
-            queries, max_workers=0, use_plans=False
-        )
+        direct = solve_per_call(queries)
         assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
 
     def test_plan_routing_shares_one_plan_per_chain(self):
@@ -396,9 +414,7 @@ class TestPlanGrouping:
             PartitionQuery.from_chain(chain, 3.0 * wmax, tag="ok-2"),
         ]
         routed = PartitionEngine().solve_many(queries, max_workers=0)
-        direct = PartitionEngine().solve_many(
-            queries, max_workers=0, use_plans=False
-        )
+        direct = solve_per_call(queries)
         assert [r.ok for r in routed] == [True, False, True, True]
         assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
 
@@ -418,9 +434,7 @@ class TestPlanGrouping:
             raise PartitioningError("injected sweep failure")
 
         queries = self.make_grouped_queries(chains=3)
-        direct = PartitionEngine().solve_many(
-            queries, max_workers=0, use_plans=False
-        )
+        direct = solve_per_call(queries)
         monkeypatch.setattr(PartitionEngine, "solve_sweep", broken)
         engine = PartitionEngine()
         routed = engine.solve_many(queries, max_workers=0)

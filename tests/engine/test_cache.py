@@ -34,8 +34,21 @@ class TestFingerprint:
 
 
 @pytest.fixture(params=["python", "numpy"])
-def cache(request):
-    return PrimeStructureCache(backend=request.param)
+def cache(request, monkeypatch):
+    """``"numpy"``: the engine as shipped (the native kernel serves a
+    miss when it loads, the NumPy structure otherwise).  ``"python"``:
+    the native kernel off and the ``repro.core`` reference structure
+    patched in as the miss's structure build, so the memo is checked
+    over the reference too."""
+    if request.param == "python":
+        from repro.core.prime_subpaths import compute_prime_structure
+        from repro.engine import kernels, native
+
+        monkeypatch.setattr(native, "load", lambda: None)
+        monkeypatch.setattr(
+            kernels, "compute_prime_structure_numpy", compute_prime_structure
+        )
+    return PrimeStructureCache()
 
 
 class TestCacheServing:
@@ -108,7 +121,7 @@ class TestCacheServing:
 
 class TestEviction:
     def test_chain_lru(self):
-        cache = PrimeStructureCache(backend="python")
+        cache = PrimeStructureCache()
         cache.plans.max_plans = 2
         chains = [random_chain(30, rng=seed) for seed in (10, 11, 12)]
         for chain in chains:
@@ -120,7 +133,7 @@ class TestEviction:
         assert cache.stats.misses == misses + 1
 
     def test_structure_lru_per_chain(self):
-        cache = PrimeStructureCache(backend="python")
+        cache = PrimeStructureCache()
         chain = random_chain(40, rng=13)
         cache.plans.get(chain).max_structures = 4
         wmax = chain.max_vertex_weight()
@@ -139,7 +152,7 @@ class TestEviction:
         assert evicted and len(plans) == 3
 
     def test_clear(self):
-        cache = PrimeStructureCache(backend="python")
+        cache = PrimeStructureCache()
         chain = random_chain(20, rng=14)
         cache.solve(chain, 2.0 * chain.max_vertex_weight())
         cache.clear()

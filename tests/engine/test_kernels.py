@@ -12,7 +12,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
-from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
+from repro.core.prime_subpaths import PrimeStructure
 from repro.engine import kernels
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain, uniform_chain
@@ -22,8 +22,8 @@ FIGURE1 = Chain([4, 3, 5, 2, 6], [7, 1, 9, 2])
 
 def assert_structures_equal(chain, bound, apply_reduction=True):
     ref = PrimeStructure.compute(chain, bound, apply_reduction=apply_reduction)
-    fast = compute_prime_structure(
-        chain, bound, apply_reduction=apply_reduction, backend="numpy"
+    fast = kernels.compute_prime_structure_numpy(
+        chain, bound, apply_reduction=apply_reduction
     )
     assert ref.primes == fast.primes
     assert ref.edges == fast.edges
@@ -44,9 +44,7 @@ class TestPrimeStructureNumpy:
 
     def test_bound_swallows_chain(self):
         chain = random_chain(50, rng=2)
-        fast = compute_prime_structure(
-            chain, chain.total_weight() + 1, backend="numpy"
-        )
+        fast = kernels.compute_prime_structure_numpy(chain, chain.total_weight() + 1)
         assert fast.p == 0 and fast.r == 0
         assert fast.min_prime_weight() == float("inf")
 
@@ -63,17 +61,13 @@ class TestPrimeStructureNumpy:
 
     def test_infeasible_bound_raises(self):
         with pytest.raises(InfeasibleBoundError):
-            compute_prime_structure(FIGURE1, 5.0, backend="numpy")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            compute_prime_structure(FIGURE1, 9.0, backend="fortran")
+            kernels.compute_prime_structure_numpy(FIGURE1, 5.0)
 
     def test_array_structure_statistics_match(self):
         chain = random_chain(80, rng=4)
         bound = 3.0 * chain.max_vertex_weight()
         ref = PrimeStructure.compute(chain, bound)
-        fast = compute_prime_structure(chain, bound, backend="numpy")
+        fast = kernels.compute_prime_structure_numpy(chain, bound)
         assert fast.q == pytest.approx(ref.q)
         assert fast.mean_prime_length() == pytest.approx(ref.mean_prime_length())
         assert fast.min_prime_weight() == ref.min_prime_weight()
@@ -98,7 +92,7 @@ class TestFastSweep:
         for ratio in (1.0, 1.3, 2.0, 5.0, 25.0):
             bound = ratio * chain.max_vertex_weight()
             ref = bandwidth_min(chain, bound)
-            structure = compute_prime_structure(chain, bound, backend="numpy")
+            structure = kernels.compute_prime_structure_numpy(chain, bound)
             cut, weight = kernels.bandwidth_sweep(structure)
             assert cut == ref.cut_indices
             assert weight == ref.weight
@@ -296,26 +290,39 @@ class TestWeightOnlyFastPath:
 
 
 class TestBandwidthBackendFlag:
-    def test_numpy_backend_same_result(self):
+    """The NumPy kernels against the reference ``bandwidth_min``: the
+    engine's route without the native kernel, and the kernels' array
+    structure handed to the reference sweep."""
+
+    def test_numpy_backend_same_result(self, monkeypatch):
+        from repro.engine import PartitionEngine, native
+
+        monkeypatch.setattr(native, "load", lambda: None)
         chain = random_chain(120, rng=6)
         bound = 2.0 * chain.max_vertex_weight()
         ref = bandwidth_min(chain, bound)
-        fast = bandwidth_min(chain, bound, backend="numpy")
+        fast = PartitionEngine().solve(chain, bound)
         assert fast.cut_indices == ref.cut_indices
         assert fast.weight == ref.weight
 
     def test_numpy_backend_with_stats_falls_back(self):
+        # Stats need the counted reference sweep, which runs over the
+        # array structure as well.
         chain = random_chain(60, rng=7)
         bound = 2.0 * chain.max_vertex_weight()
-        result = bandwidth_min(chain, bound, backend="numpy", collect_stats=True)
+        structure = kernels.compute_prime_structure_numpy(chain, bound)
+        result = bandwidth_min(
+            chain, bound, structure=structure, collect_stats=True
+        )
         assert result.stats is not None
         assert result.stats.p > 0
+        assert result.stats.p == PrimeStructure.compute(chain, bound).p
 
     def test_precomputed_structure_is_used(self):
         chain = random_chain(60, rng=8)
         bound = 2.0 * chain.max_vertex_weight()
-        structure = compute_prime_structure(chain, bound, backend="numpy")
-        result = bandwidth_min(chain, bound, backend="numpy", structure=structure)
+        structure = kernels.compute_prime_structure_numpy(chain, bound)
+        result = bandwidth_min(chain, bound, structure=structure)
         assert result.weight == bandwidth_min(chain, bound).weight
 
 

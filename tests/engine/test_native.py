@@ -134,7 +134,7 @@ class TestCacheIntegration:
         monkeypatch.setattr(native, "fused_solve", spy)
         chain = random_chain(200, rng=11)
         bound = 2.0 * chain.max_vertex_weight()
-        cache = PrimeStructureCache(backend="numpy")
+        cache = PrimeStructureCache()
         result = cache.solve(chain, bound)
         assert calls == [bound]
         ref = bandwidth_min(chain, bound)
@@ -144,7 +144,7 @@ class TestCacheIntegration:
     def test_interval_comes_from_the_kernel(self):
         chain = random_chain(200, rng=12)
         bound = 2.0 * chain.max_vertex_weight()
-        cache = PrimeStructureCache(backend="numpy")
+        cache = PrimeStructureCache()
         cache.solve(chain, bound)
         (cached,) = cache.plans.get(chain)._memo.values()
         assert cached.result is not None  # the kernel returned the cut too
@@ -161,7 +161,7 @@ class TestCacheIntegration:
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
         chain = random_chain(150, rng=13)
         bound = 2.0 * chain.max_vertex_weight()
-        cache = PrimeStructureCache(backend="numpy")
+        cache = PrimeStructureCache()
         plan = cache.plans.get(chain)
         plan.solve_bounds([bound])
         (cached,) = plan._memo.values()
@@ -178,7 +178,7 @@ class TestCacheIntegration:
         bound = 2.0 * chain.max_vertex_weight()
         structure = PrimeStructure.compute(chain, bound)
         tracer = Tracer()
-        cache = PrimeStructureCache(backend="numpy")
+        cache = PrimeStructureCache()
         cache.solve(chain, bound, tracer=tracer)
         dispatches = [
             s for s in tracer.iter_spans() if s.name == "kernel_dispatch"
@@ -212,7 +212,7 @@ class TestCacheIntegration:
         monkeypatch.setattr(runtime, "maybe_verify_cache_solve", spy)
         chain = random_chain(80, rng=16)
         bound = 2.0 * chain.max_vertex_weight()
-        cache = PrimeStructureCache(backend="numpy")
+        cache = PrimeStructureCache()
         cache.solve(chain, bound)
         cache.solve(chain, bound)
         assert checked == [bound, bound]
@@ -235,7 +235,7 @@ def test_traced_fallback_emits_one_structure_dispatch(monkeypatch):
     bound = 2.0 * chain.max_vertex_weight()
     structure = PrimeStructure.compute(chain, bound)
     tracer = Tracer()
-    PrimeStructureCache(backend="numpy").solve(chain, bound, tracer=tracer)
+    PrimeStructureCache().solve(chain, bound, tracer=tracer)
     dispatches = [s for s in tracer.iter_spans() if s.name == "kernel_dispatch"]
     assert len(dispatches) == 1
     assert dispatches[0].attrs["kernel"] == "prime_structure"
@@ -247,10 +247,10 @@ def test_traced_fallback_emits_one_structure_dispatch(monkeypatch):
 
 def test_forced_fallback_gives_same_answers_and_stats(monkeypatch):
     chains = [random_chain(n, rng=n) for n in (1, 2, 30, 300)]
-    native_run = _sweep_answers(PartitionEngine(backend="numpy"), chains)
+    native_run = _sweep_answers(PartitionEngine(), chains)
     monkeypatch.setattr(native, "load", lambda: None)
     assert native.fused_solve(np.zeros(2), np.zeros(0), 1.0) is None
-    fallback_run = _sweep_answers(PartitionEngine(backend="numpy"), chains)
+    fallback_run = _sweep_answers(PartitionEngine(), chains)
     assert fallback_run == native_run
     reference = [
         (r.cut_indices, r.weight.hex())

@@ -138,19 +138,19 @@ class TestSolveBounds:
         assert weights[1] == bandwidth_min(chain, 6.0 * wmax).weight
 
     def test_single_bound_handles_primeless_bounds(self, monkeypatch):
-        # No prime subpaths: every route returns the empty cut, valid
-        # for every larger bound.
+        # No prime subpaths: both miss routes (native kernel, NumPy
+        # structure) return the empty cut, valid for every larger bound.
         from repro.engine import native
 
         chain = random_chain(20, rng=12)
         bound = 2.0 * float(np.sum(chain.alpha))
         plan = compile_chain(chain)
-        for backend in ("numpy", "python"):
-            result, valid_until = plan._solve_at(bound, backend, None)
-            assert (result.cut_indices, result.weight) == ([], 0.0)
-            assert valid_until == float("inf")
+        result, valid_until = plan._solve_at(bound, None)
+        assert (result.cut_indices, result.weight, valid_until) == (
+            [], 0.0, float("inf")
+        )
         monkeypatch.setattr(native, "load", lambda: None)
-        result, valid_until = plan._solve_at(bound, "numpy", None)
+        result, valid_until = plan._solve_at(bound, None)
         assert (result.cut_indices, result.weight, valid_until) == (
             [], 0.0, float("inf")
         )
@@ -289,18 +289,6 @@ class TestEngineSolveSweep:
         engine.solve_sweep(chain, ks[:3])
         assert engine.plans.stats.misses == 1
         assert engine.plans.stats.hits == 1
-
-    def test_python_backend_sweeps_through_the_plan(self):
-        engine = PartitionEngine(backend="python")
-        chain = random_chain(30, rng=41)
-        ks = bounds_for(chain, count=5, seed=41)
-        weights, cuts = engine.solve_sweep(chain, ks, return_cuts=True)
-        assert len(engine.plans) == 1
-        for k, weight, cut in zip(ks, weights, cuts):
-            ref = bandwidth_min(chain, k)
-            assert (cut, weight) == (list(ref.cut_indices), ref.weight)
-        just_weights = engine.solve_sweep(chain, ks)
-        assert list(just_weights) == list(weights)
 
     def test_snapshot_metrics_exports_plan_gauges(self):
         engine = PartitionEngine()

@@ -11,22 +11,29 @@ import pytest
 
 from repro.baselines.nicol import bandwidth_min_nlogn
 from repro.core.bandwidth import bandwidth_min, bandwidth_stats
+from repro.engine.kernels import compute_prime_structure_numpy
 from repro.graphs.generators import random_chain
 from repro.observability import Tracer
 
-BACKENDS = ["python", "numpy"]
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["python", "numpy"])
 def backend(request):
+    """Which prime structure the sweep runs on: ``"python"`` lets
+    ``bandwidth_min`` build the reference one, ``"numpy"`` hands it the
+    engine kernels' array structure."""
     return request.param
+
+
+def solve(chain, bound, backend, **kwargs):
+    structure = None
+    if backend == "numpy":
+        structure = compute_prime_structure_numpy(chain, bound)
+    return bandwidth_min(chain, bound, structure=structure, **kwargs)
 
 
 def traced_solve(chain, bound, backend, search="binary"):
     tracer = Tracer()
-    result = bandwidth_min(
-        chain, bound, backend=backend, search=search, tracer=tracer
-    )
+    result = solve(chain, bound, backend, search=search, tracer=tracer)
     return tracer, result
 
 
@@ -71,7 +78,7 @@ class TestTracingIsInert:
         for rng in (1, 2, 3):
             chain = random_chain(200, rng=rng)
             bound = 2.0 * chain.max_vertex_weight()
-            plain = bandwidth_min(chain, bound, backend=backend)
+            plain = solve(chain, bound, backend)
             _, traced = traced_solve(chain, bound, backend)
             assert (traced.cut_indices, traced.weight) == (
                 plain.cut_indices,
@@ -81,7 +88,7 @@ class TestTracingIsInert:
     def test_linear_search_traced(self, backend):
         chain = random_chain(150, rng=9)
         bound = 2.0 * chain.max_vertex_weight()
-        plain = bandwidth_min(chain, bound, backend=backend, search="linear")
+        plain = solve(chain, bound, backend, search="linear")
         tracer, traced = traced_solve(chain, bound, backend, search="linear")
         assert traced.weight == plain.weight
         assert tracer.find("temp_s_sweep").counter.get("search_steps") > 0
@@ -91,10 +98,8 @@ class TestTracingIsInert:
 
         chain = random_chain(100, rng=11)
         bound = 2.0 * chain.max_vertex_weight()
-        plain = bandwidth_min(chain, bound, backend=backend)
-        nulled = bandwidth_min(
-            chain, bound, backend=backend, tracer=NULL_TRACER
-        )
+        plain = solve(chain, bound, backend)
+        nulled = solve(chain, bound, backend, tracer=NULL_TRACER)
         assert nulled.weight == plain.weight
         assert NULL_TRACER.roots == []
 
@@ -121,17 +126,13 @@ class TestPrimeStructureTracing:
         chain = random_chain(120, rng=3)
         bound = 2.0 * chain.max_vertex_weight()
         tracer = Tracer()
-        structure = compute_prime_structure(
-            chain, bound, backend="python", tracer=tracer
-        )
+        structure = compute_prime_structure(chain, bound, tracer=tracer)
         find = tracer.find("find_primes")
         reduce_span = tracer.find("reduce_edges")
         assert find.attrs["p"] == structure.p
         assert reduce_span.attrs["r"] == structure.r
 
     def test_numpy_backend_emits_kernel_dispatch_span(self):
-        from repro.engine.kernels import compute_prime_structure_numpy
-
         chain = random_chain(120, rng=4)
         bound = 2.0 * chain.max_vertex_weight()
         tracer = Tracer()

@@ -6,6 +6,8 @@ on :mod:`repro.verify` — the checkers are only trustworthy if they
 accept all honest answers *and* refuse all doctored ones.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,10 +72,15 @@ def test_bandwidth_min_passes_full_certificate(data):
 @given(chain_and_bound())
 def test_numpy_backend_passes_cache_certificate(data):
     pytest.importorskip("numpy")
+    from repro.engine import PartitionEngine, native
+
     chain, bound = data
-    result = bandwidth_min(chain, bound, backend="numpy")
-    # Includes the pure-Python cross-check: both backends must agree
-    # element for element.
+    # The engine's answer with the native kernel on, then off (NumPy
+    # structure plus Python sweep).  The certificate includes the
+    # pure-Python cross-check: each must agree element for element.
+    verify_cache_solve(chain, bound, PartitionEngine().solve(chain, bound))
+    with mock.patch.object(native, "load", lambda: None):
+        result = PartitionEngine().solve(chain, bound)
     verify_cache_solve(chain, bound, result)
 
 

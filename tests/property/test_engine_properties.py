@@ -7,6 +7,8 @@ identical cuts, identical weights (the same floats, not merely close),
 and identical ordering of batch results.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
-from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
-from repro.engine import PartitionEngine, PartitionQuery
+from repro.core.prime_subpaths import PrimeStructure
+from repro.engine import PartitionEngine, PartitionQuery, native
 from repro.engine.cache import PrimeStructureCache
+from repro.engine.kernels import bandwidth_sweep, compute_prime_structure_numpy
 from repro.graphs.chain import Chain
 
 # Weights are drawn from small integer grids scaled by 0.5 so both exact
@@ -45,7 +48,7 @@ def chain_and_bound(draw, max_tasks: int = 24):
 def test_numpy_structure_identical_to_python(data):
     chain, bound = data
     ref = PrimeStructure.compute(chain, bound)
-    fast = compute_prime_structure(chain, bound, backend="numpy")
+    fast = compute_prime_structure_numpy(chain, bound)
     assert ref.primes == fast.primes
     assert ref.edges == fast.edges
 
@@ -55,9 +58,7 @@ def test_numpy_structure_identical_to_python(data):
 def test_numpy_structure_identical_without_reduction(data):
     chain, bound = data
     ref = PrimeStructure.compute(chain, bound, apply_reduction=False)
-    fast = compute_prime_structure(
-        chain, bound, apply_reduction=False, backend="numpy"
-    )
+    fast = compute_prime_structure_numpy(chain, bound, apply_reduction=False)
     assert ref.primes == fast.primes
     assert ref.edges == fast.edges
 
@@ -67,9 +68,16 @@ def test_numpy_structure_identical_without_reduction(data):
 def test_numpy_backend_identical_result(data):
     chain, bound = data
     ref = bandwidth_min(chain, bound)
-    fast = bandwidth_min(chain, bound, backend="numpy")
-    assert fast.cut_indices == ref.cut_indices
-    assert fast.weight == ref.weight  # exact, not approximate
+    answers = [bandwidth_sweep(compute_prime_structure_numpy(chain, bound))]
+    # The engine with the native kernel on, then off (NumPy structure
+    # plus Python sweep, as on a host with no C compiler).
+    fast = PartitionEngine().solve(chain, bound)
+    with mock.patch.object(native, "load", lambda: None):
+        fallback = PartitionEngine().solve(chain, bound)
+    answers += [(r.cut_indices, r.weight) for r in (fast, fallback)]
+    for cut, weight in answers:
+        assert cut == ref.cut_indices
+        assert weight == ref.weight  # exact, not approximate
 
 
 @settings(max_examples=100, deadline=None)
